@@ -49,7 +49,8 @@ from repro.sdf.buffers import (
     retune_buffer_capacity,
 )
 from repro.sdf.deadlock import is_deadlock_free
-from repro.sdf.engine import ThroughputEngine, collect_engine_counters
+from repro import obs
+from repro.sdf.engine import ThroughputEngine
 from repro.sdf.throughput import ThroughputAnalyzer
 
 CORPUS = sorted(
@@ -232,11 +233,11 @@ def _greedy_sizing_calls(graph, constraint, max_rounds=200, step=1):
 def _sizing_calls():
     graph, constraint = _sizing_chain()
     greedy_calls, greedy_dist = _greedy_sizing_calls(graph, constraint)
-    with collect_engine_counters() as tiers:
+    with obs.collect() as counted:
         distribution, result = minimal_buffer_distribution(
             graph, throughput_constraint=constraint
         )
-    monotone_calls = tiers.total()
+    monotone_calls = sum(counted.snapshot("engine").values())
     assert result.throughput >= constraint
     # Same quality: the monotone search must not gold-plate capacities.
     assert (

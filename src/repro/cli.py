@@ -31,8 +31,7 @@ Commands mirror the tool invocations of the original flow:
   [--energy-budget NJ] [--tech-node NM]`` -- explore the template
   design space for the MJPEG decoder with the parallel, cached
   exploration engine and print the Pareto report; the power flags add
-  energy as a third Pareto objective and prune over-budget points
-  (``dse`` is the compatible alias);
+  energy as a third Pareto objective and prune over-budget points;
 * ``serve --workspace DIR [--host H] [--port P] [--jobs N]
   [--max-queue N] [--backend B] [--replica NAME]`` -- run the flow
   service (:mod:`repro.service`): an HTTP JSON API that accepts
@@ -68,6 +67,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from typing import List, Optional
 
@@ -177,11 +177,10 @@ def _power_model(args: argparse.Namespace):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.max_iterations is not None and args.max_iterations < 1:
-        raise ReproError(
-            f"--max-iterations must be >= 1, got {args.max_iterations}"
-        )
-    graph = load_graph(args.graph)
+    try:
+        graph = load_graph(args.graph)
+    except (OSError, ET.ParseError) as error:
+        raise ReproError(f"cannot read graph {args.graph}: {error}") from None
     q = repetition_vector(graph)
     live = is_deadlock_free(graph)
     throughput_kwargs = (
@@ -325,8 +324,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         load_flow_spec,
     )
 
-    if args.jobs < 1:
-        raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
     if args.backend == "process" and not args.workspace:
         raise ReproError(
             "--backend process runs the analysis-side session on a "
@@ -402,8 +399,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.artifacts import canonical_json, to_payload
     from repro.flow import run_batch
 
-    if args.jobs < 1:
-        raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
     report = run_batch(
         args.specs, args.workspace, jobs=args.jobs, backend=args.backend
     )
@@ -423,8 +418,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         format_exploration_report,
     )
 
-    if args.jobs < 1:
-        raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
     if args.early_exit and not args.constraint:
         raise ReproError(
             "--early-exit needs --constraint (the case-study application "
@@ -441,10 +434,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             ) from None
     effort = args.effort
     if args.max_iterations is not None:
-        if args.max_iterations < 1:
-            raise ReproError(
-                f"--max-iterations must be >= 1, got {args.max_iterations}"
-            )
         # Derived effort preset: same retry budget, overridden state-space
         # iteration budget; survives the name-typed candidate plumbing.
         effort = f"{effort}+it{args.max_iterations}"
@@ -612,10 +601,8 @@ def _cmd_platform(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import FlowServiceServer, FlowScheduler
 
-    if args.jobs < 1:
-        raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.max_queue < 1:
-        raise ReproError(f"--max-queue must be >= 1, got {args.max_queue}")
+    if not 0 <= args.port <= 65535:
+        raise ReproError(f"--port must be in 0..65535, got {args.port}")
     scheduler = FlowScheduler(
         args.workspace,
         jobs=args.jobs,
@@ -723,10 +710,91 @@ def _add_power_arguments(
     )
 
 
+#: Integer flags that must be >= 1 when given; :func:`main` checks
+#: them once for every subcommand.
+_AT_LEAST_ONE = ("jobs", "max_queue", "max_iterations", "max_tiles")
+
+
+def _check_at_least_one(args: argparse.Namespace) -> None:
+    for dest in _AT_LEAST_ONE:
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            flag = "--" + dest.replace("_", "-")
+            raise ReproError(f"{flag} must be >= 1, got {value}")
+
+
+def _shared_flags():
+    """The flags several subcommands share, declared once."""
+    from repro.scenarios.spec import FAMILIES
+
+    return {
+        "--jobs": dict(
+            type=int, default=1,
+            help="worker count of the execution backend (default "
+                 "%(default)s; results are identical for any count)",
+        ),
+        "--backend": dict(
+            choices=("thread", "process"), default="thread",
+            help="execution backend; 'process' computes on worker "
+                 "processes (true multi-core) with byte-identical "
+                 "results",
+        ),
+        "--workspace": dict(
+            metavar="DIR",
+            help="artifact workspace; stages whose input fingerprints "
+                 "are unchanged resume from it",
+        ),
+        "--json": dict(
+            action="store_true",
+            help="emit JSON instead of the human-readable output",
+        ),
+        "--url": dict(
+            default="http://127.0.0.1:8787",
+            help="base URL of the running service (default %(default)s)",
+        ),
+        "--spec": dict(
+            required=True,
+            help="path to the scenario document (TOML or JSON; see "
+                 "docs/mapping.md)",
+        ),
+        "--engine": dict(
+            choices=ENGINE_MODES, default="auto",
+            help="throughput engine tier: 'auto' picks the analytic "
+                 "max-cycle-mean fast path when the graph allows it and "
+                 "falls back to the vectorized simulation core; pin a "
+                 "tier to force it (forcing 'analytic' fails on graphs "
+                 "it cannot model)",
+        ),
+        "--max-iterations": dict(
+            type=int, default=None, metavar="N",
+            help="state-space iteration budget of the throughput "
+                 "analysis; raise it for large bounded graphs whose "
+                 "periodic phase needs more iterations to appear",
+        ),
+        "--family": dict(
+            choices=FAMILIES + ("all",), default="all",
+            help="scenario graph family ('all' cycles through every "
+                 "family; default %(default)s)",
+        ),
+        "--interconnect": dict(choices=("fsl", "noc"), default="fsl"),
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     # deferred: the strategy registry pulls in the whole mapping stack,
     # which commands like `analyze` never need at startup
     from repro.mapping.pipeline import registered
+
+    shared = _shared_flags()
+
+    def add(parser, *flags: str, **overrides) -> None:
+        """Add the shared ``flags``; ``overrides`` maps a flag's dest
+        (``jobs``, ``max_iterations``) to its per-command changes."""
+        for flag in flags:
+            dest = flag[2:].replace("-", "_")
+            parser.add_argument(
+                flag, **{**shared[flag], **overrides.get(dest, {})}
+            )
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -741,32 +809,13 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", help="analyze an SDF3-style XML graph"
     )
     analyze.add_argument("graph", help="path to the graph XML file")
-    analyze.add_argument(
-        "--json", action="store_true",
-        help="emit analysis plus a template-platform mapping result "
-             "(binding, buffer capacities, throughput guarantee) as JSON",
-    )
+    add(analyze, "--json", "--interconnect", "--max-iterations", "--engine",
+        json=dict(help="emit analysis plus a template-platform mapping "
+                       "result (binding, buffer capacities, throughput "
+                       "guarantee) as JSON"))
     analyze.add_argument(
         "--tiles", type=int, default=2,
         help="template tile count for the --json mapping (default 2)",
-    )
-    analyze.add_argument(
-        "--interconnect", choices=("fsl", "noc"), default="fsl",
-        help="template interconnect for the --json mapping",
-    )
-    analyze.add_argument(
-        "--max-iterations", type=int, default=None, metavar="N",
-        help="state-space iteration budget of the throughput analysis "
-             "(default 10000); raise it for large bounded graphs whose "
-             "periodic phase needs more iterations to appear",
-    )
-    analyze.add_argument(
-        "--engine", choices=ENGINE_MODES, default="auto",
-        help="throughput engine tier: 'auto' picks the analytic "
-             "max-cycle-mean fast path when the graph allows it and "
-             "falls back to the vectorized simulation core; pin a tier "
-             "to force it (forcing 'analytic' fails on graphs it cannot "
-             "model)",
     )
     _add_power_arguments(analyze, verb="report")
     analyze.set_defaults(handler=_cmd_analyze)
@@ -776,9 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.add_argument("sequence", nargs="?", default="gradient")
     demo.add_argument("--tiles", type=int, default=5)
-    demo.add_argument(
-        "--interconnect", choices=("fsl", "noc"), default="fsl"
-    )
+    add(demo, "--interconnect")
     demo.add_argument("--iterations", type=int, default=16)
     demo.add_argument(
         "--output", help="write the generated project under this directory"
@@ -789,10 +836,13 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="execute a declarative FlowSpec scenario (TOML or JSON)",
     )
-    run.add_argument(
-        "--spec", required=True,
-        help="path to the scenario document (see docs/mapping.md)",
-    )
+    add(run, "--spec", "--workspace", "--json", "--backend", "--jobs",
+        workspace=dict(help="run as a resumable analysis-side "
+                            "FlowSession against this workspace "
+                            "(required for multi-application specs "
+                            "and --backend process)"),
+        json=dict(help="emit the canonical artifact payload (see "
+                       "docs/artifacts.md)"))
     run.add_argument(
         "--iterations", type=int, default=None,
         help="measurement iterations of the full flow (default 16; "
@@ -801,27 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--output", help="write the generated project under this "
                          "directory (incompatible with --workspace)"
-    )
-    run.add_argument(
-        "--workspace", metavar="DIR",
-        help="run as a resumable analysis-side FlowSession against this "
-             "workspace (stages with unchanged input fingerprints are "
-             "skipped; required for multi-application specs)",
-    )
-    run.add_argument(
-        "--json", action="store_true",
-        help="emit the canonical artifact payload instead of the "
-             "human-readable summary (see docs/artifacts.md)",
-    )
-    run.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="execution backend; 'process' computes the session on a "
-             "worker process (needs --workspace) with byte-identical "
-             "artifacts",
-    )
-    run.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker count of the execution backend (default 1)",
     )
     run.set_defaults(handler=_cmd_run)
 
@@ -833,21 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
         "specs", nargs="+",
         help="paths to scenario documents (TOML or JSON)",
     )
-    batch.add_argument(
-        "--workspace", required=True, metavar="DIR",
-        help="shared artifact workspace; re-running the same batch "
-             "against it resumes every unchanged stage",
-    )
-    batch.add_argument(
-        "--jobs", type=int, default=1,
-        help="concurrent sessions (default 1: serial; output and "
-             "artifacts are identical either way)",
-    )
-    batch.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="execution backend; 'process' runs sessions on worker "
-             "processes (true multi-core) with byte-identical artifacts",
-    )
+    add(batch, "--workspace", "--jobs", "--backend",
+        workspace=dict(required=True))
     batch.add_argument(
         "--table", action="store_true",
         help="human-readable table instead of the canonical JSON report",
@@ -875,13 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, required=True,
         help="master seed; fully determines the corpus",
     )
-    generate.add_argument(
-        "--family",
-        choices=("chain", "splitjoin", "diamond", "cyclic", "mixed",
-                 "all"),
-        default="all",
-        help="graph family ('all' cycles through every family)",
-    )
+    add(generate, "--family")
     generate.add_argument(
         "--count", type=int, default=5,
         help="number of scenarios to generate (default 5)",
@@ -913,12 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve FlowSpec scenarios over HTTP from a shared workspace",
     )
-    serve.add_argument(
-        "--workspace", required=True, metavar="DIR",
-        help="artifact workspace the service computes into and serves "
-             "from; a warm workspace (e.g. from 'repro batch') answers "
-             "known requests with zero re-analysis",
-    )
+    add(serve, "--workspace", "--jobs", "--backend",
+        workspace=dict(required=True), jobs=dict(default=2))
     serve.add_argument(
         "--host", default="127.0.0.1",
         help="bind address (default 127.0.0.1)",
@@ -928,19 +934,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (default 8787; 0 picks an ephemeral port)",
     )
     serve.add_argument(
-        "--jobs", type=int, default=2,
-        help="concurrent flow computations (default 2)",
-    )
-    serve.add_argument(
         "--max-queue", type=int, default=32,
         help="max jobs queued or running before submissions are "
              "rejected with HTTP 429 (default 32)",
-    )
-    serve.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="execution backend; 'process' computes flows on worker "
-             "processes so replicas scale across cores "
-             "(see docs/service.md)",
     )
     serve.add_argument(
         "--replica", default="",
@@ -960,19 +956,14 @@ def build_parser() -> argparse.ArgumentParser:
              "service replicas and gate on the measured report "
              "(see docs/service.md)",
     )
-    loadtest.add_argument(
-        "--url", action="append", metavar="URL",
-        help="base URL of a running service; repeat to fan traffic "
-             "out round-robin across replicas "
-             "(default http://127.0.0.1:8787)",
-    )
-    loadtest.add_argument(
-        "--family",
-        choices=("chain", "splitjoin", "diamond", "cyclic", "mixed",
-                 "all"),
-        default="mixed",
-        help="scenario family of the request pool (default 'mixed')",
-    )
+    add(loadtest, "--url", "--family", "--json",
+        url=dict(action="append", default=None, metavar="URL",
+                 help="base URL of a running service; repeat to fan "
+                      "traffic out round-robin across replicas "
+                      "(default http://127.0.0.1:8787)"),
+        family=dict(default="mixed"),
+        json=dict(help="emit the full report document instead of the "
+                       "summary"))
     loadtest.add_argument(
         "--unique", type=int, default=4,
         help="distinct FlowSpec documents in the pool (default 4); "
@@ -1005,10 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument(
         "--out", metavar="FILE",
         help="write the canonical BENCH_service.json report here",
-    )
-    loadtest.add_argument(
-        "--json", action="store_true",
-        help="emit the full report document instead of the summary",
     )
     loadtest.add_argument(
         "--p99-budget-ms", type=float, default=None, metavar="MS",
@@ -1044,24 +1031,12 @@ def build_parser() -> argparse.ArgumentParser:
              "application of a FlowSpec (warm workspaces resume with "
              "zero re-analysis)",
     )
-    build_lib.add_argument(
-        "--spec", required=True,
-        help="path to the scenario document (TOML or JSON)",
-    )
-    build_lib.add_argument(
-        "--workspace", required=True, metavar="DIR",
-        help="artifact workspace the libraries (and per-size mapping "
-             "results) are persisted into; point 'repro serve' at the "
-             "same workspace to admit from them",
-    )
+    add(build_lib, "--spec", "--workspace", "--json",
+        workspace=dict(required=True))
     build_lib.add_argument(
         "--max-tiles", type=int, default=None, metavar="N",
         help="cap the swept platform sizes (default: the spec's "
              "architecture tile count)",
-    )
-    build_lib.add_argument(
-        "--json", action="store_true",
-        help="emit the per-app build summaries as JSON",
     )
     build_lib.set_defaults(handler=_cmd_platform)
     admit = platform_actions.add_parser(
@@ -1069,19 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="admit a FlowSpec's application onto the platform of a "
              "running service",
     )
-    admit.add_argument(
-        "--spec", required=True,
-        help="path to the scenario document (TOML or JSON)",
-    )
-    admit.add_argument(
-        "--url", default="http://127.0.0.1:8787",
-        help="base URL of the running service "
-             "(default http://127.0.0.1:8787)",
-    )
-    admit.add_argument(
-        "--json", action="store_true",
-        help="emit the raw admission decision as JSON",
-    )
+    add(admit, "--spec", "--url", "--json")
     admit.set_defaults(handler=_cmd_platform)
     depart = platform_actions.add_parser(
         "depart", help="depart one admitted application by id"
@@ -1089,120 +1052,75 @@ def build_parser() -> argparse.ArgumentParser:
     depart.add_argument(
         "app_id", help="application id reported at admission"
     )
-    depart.add_argument(
-        "--url", default="http://127.0.0.1:8787",
-        help="base URL of the running service "
-             "(default http://127.0.0.1:8787)",
-    )
+    add(depart, "--url", "--json")
     depart.add_argument(
         "--migrate", action="store_true",
         help="rebalance survivors onto the freed capacity when the "
              "migration cost model says the downtime pays off",
-    )
-    depart.add_argument(
-        "--json", action="store_true",
-        help="emit the raw departure outcome as JSON",
     )
     depart.set_defaults(handler=_cmd_platform)
     pstatus = platform_actions.add_parser(
         "status",
         help="show admitted apps, placements and residual capacity",
     )
-    pstatus.add_argument(
-        "--url", default="http://127.0.0.1:8787",
-        help="base URL of the running service "
-             "(default http://127.0.0.1:8787)",
-    )
-    pstatus.add_argument(
-        "--json", action="store_true",
-        help="emit the raw platform state as JSON",
-    )
+    add(pstatus, "--url", "--json")
     pstatus.set_defaults(handler=_cmd_platform)
 
-    for alias in ("explore", "dse"):
-        explore = commands.add_parser(
-            alias,
-            help=(
-                "explore the template design space for the case study"
-                + ("" if alias == "explore" else " (alias of 'explore')")
-            ),
-        )
-        explore.add_argument("sequence", nargs="?", default="gradient")
-        explore.add_argument("--max-tiles", type=int, default=5)
-        explore.add_argument(
-            "--jobs", type=int, default=1,
-            help="concurrent evaluation workers (default 1: serial)",
-        )
-        explore.add_argument(
-            "--backend", choices=("thread", "process"),
-            default="thread",
-            help="evaluation backend; 'process' evaluates design "
-                 "points on worker processes (true multi-core) with "
-                 "identical results",
-        )
-        explore.add_argument(
-            "--effort", choices=("low", "normal", "high"),
-            default="normal",
-            help="mapping effort per design point",
-        )
-        explore.add_argument(
-            "--max-iterations", type=int, default=None, metavar="N",
-            help="override the effort preset's state-space iteration "
-                 "budget for every design point (large bounded graphs "
-                 "can need more than the preset to find their periodic "
-                 "phase)",
-        )
-        explore.add_argument(
-            "--engine", choices=ENGINE_MODES, default="auto",
-            help="throughput engine tier for every design point "
-                 "(default auto: analytic fast path where the graph "
-                 "allows it, vectorized simulation otherwise)",
-        )
-        explore.add_argument(
-            "--binding", choices=registered("binding"), default="greedy",
-            help="binding strategy for every design point",
-        )
-        explore.add_argument(
-            "--routing", choices=registered("routing"), default="xy",
-            help="routing strategy for every design point",
-        )
-        explore.add_argument(
-            "--buffer-policy", choices=registered("buffer"),
-            default="linear",
-            help="buffer growth schedule for every design point",
-        )
-        explore.add_argument(
-            "--seed", type=int, default=None,
-            help="seed for randomized binding strategies (ga)",
-        )
-        explore.add_argument(
-            "--heterogeneous", action="store_true",
-            help="also sweep the compact heterogeneous tile mix "
-                 "(half-size slave memories)",
-        )
-        explore.add_argument(
-            "--with-ca", action="store_true",
-            help="also sweep communication-assist variants",
-        )
-        explore.add_argument(
-            "--constraint", metavar="FRACTION",
-            help="throughput constraint in iterations/cycle, e.g. 1/6000",
-        )
-        explore.add_argument(
-            "--early-exit", action="store_true",
-            help="stop at the first point meeting the constraint",
-        )
-        explore.add_argument(
-            "--csv", action="store_true",
-            help="emit machine-readable CSV instead of the report",
-        )
-        explore.add_argument(
-            "--json", action="store_true",
-            help="emit the canonical exploration-result artifact "
-                 "payload (see docs/artifacts.md)",
-        )
-        _add_power_arguments(explore, verb="prune design points by")
-        explore.set_defaults(handler=_cmd_explore)
+    explore = commands.add_parser(
+        "explore",
+        help="explore the template design space for the case study",
+    )
+    explore.add_argument("sequence", nargs="?", default="gradient")
+    explore.add_argument("--max-tiles", type=int, default=5)
+    add(explore, "--jobs", "--backend", "--max-iterations", "--engine",
+        "--json",
+        json=dict(help="emit the canonical exploration-result artifact "
+                       "payload (see docs/artifacts.md)"))
+    explore.add_argument(
+        "--effort", choices=("low", "normal", "high"),
+        default="normal",
+        help="mapping effort per design point",
+    )
+    explore.add_argument(
+        "--binding", choices=registered("binding"), default="greedy",
+        help="binding strategy for every design point",
+    )
+    explore.add_argument(
+        "--routing", choices=registered("routing"), default="xy",
+        help="routing strategy for every design point",
+    )
+    explore.add_argument(
+        "--buffer-policy", choices=registered("buffer"),
+        default="linear",
+        help="buffer growth schedule for every design point",
+    )
+    explore.add_argument(
+        "--seed", type=int, default=None,
+        help="seed for randomized binding strategies (ga)",
+    )
+    explore.add_argument(
+        "--heterogeneous", action="store_true",
+        help="also sweep the compact heterogeneous tile mix "
+             "(half-size slave memories)",
+    )
+    explore.add_argument(
+        "--with-ca", action="store_true",
+        help="also sweep communication-assist variants",
+    )
+    explore.add_argument(
+        "--constraint", metavar="FRACTION",
+        help="throughput constraint in iterations/cycle, e.g. 1/6000",
+    )
+    explore.add_argument(
+        "--early-exit", action="store_true",
+        help="stop at the first point meeting the constraint",
+    )
+    explore.add_argument(
+        "--csv", action="store_true",
+        help="emit machine-readable CSV instead of the report",
+    )
+    _add_power_arguments(explore, verb="prune design points by")
+    explore.set_defaults(handler=_cmd_explore)
     return parser
 
 
@@ -1210,6 +1128,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_at_least_one(args)
         return args.handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -6,12 +6,11 @@ engine (:mod:`repro.flow.dse`), the batch runner
 (:mod:`repro.service.scheduler`) -- goes through one
 :class:`ExecutionBackend`:
 
-* :class:`ThreadBackend` (``"thread"``) is the historic
-  :class:`WorkerPool`: deterministic ordered fan-out over a
-  ``concurrent.futures`` thread pool, with ``jobs == 1`` strictly
-  serial.  Workers share the caller's memory, so arbitrary callables
-  (closures, bound methods) are fine -- but pure-Python work contends
-  on the GIL.
+* :class:`ThreadBackend` (``"thread"``): deterministic ordered
+  fan-out over a ``concurrent.futures`` thread pool, with
+  ``jobs == 1`` strictly serial.  Workers share the caller's memory, so
+  arbitrary callables (closures, bound methods) are fine -- but
+  pure-Python work contends on the GIL.
 * :class:`ProcessBackend` (``"process"``) fans *registered tasks* out
   over a stdlib :class:`~concurrent.futures.ProcessPoolExecutor`.  Work
   crosses the process boundary as JSON payloads (a
@@ -30,6 +29,12 @@ process backend those run on a small auxiliary **thread** pool (bound
 methods and closures are not picklable), which is exactly what the
 scheduler's platform operations need.
 
+Telemetry survives the backend choice too: thread workers run in a
+copy of the submitter's context, and process workers return their
+:mod:`repro.obs` counts with each result, merged here before the
+task's future resolves -- so process-wide counters and
+:func:`repro.obs.collect` scopes read the same under either backend.
+
 The byte-identity guarantee of the flow survives the backend choice:
 a task computes canonical artifacts keyed by content, so a thread run
 and a process run of the same spec write byte-identical ``artifacts/``
@@ -38,6 +43,7 @@ trees (regression-tested in ``tests/flow/test_session_backends.py``).
 
 from __future__ import annotations
 
+import contextvars
 import importlib
 import multiprocessing
 import os
@@ -51,6 +57,7 @@ from concurrent.futures import (
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
 
+from repro import obs
 from repro.exceptions import ReproError
 
 #: The selectable backend names (the ``--backend`` choices).
@@ -128,12 +135,16 @@ def _warm_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     return {"pid": os.getpid()}
 
 
-def run_task(name: str, module: str, payload: Dict[str, Any]) -> Any:
+def run_task(
+    name: str, module: str, payload: Dict[str, Any]
+) -> Tuple[Any, Dict[str, int]]:
     """Worker-process entry point: import, resolve, dispatch.
 
     Importing ``module`` (re-)runs its :func:`backend_task`
     registrations, so a freshly spawned worker that never saw the
-    parent's imports still resolves the task.
+    parent's imports still resolves the task.  Returns the task's
+    result next to the :mod:`repro.obs` counts it made; a task that
+    raises carries those counts on the error as ``counts``.
     """
     task = _TASKS.get(name)
     if task is None:
@@ -143,7 +154,49 @@ def run_task(name: str, module: str, payload: Dict[str, Any]) -> Any:
         raise BackendError(
             f"task {name!r} not registered by importing {module!r}"
         )
-    return task.fn(payload)
+    with obs.collect() as counted:
+        try:
+            result = task.fn(payload)
+        except Exception as error:
+            error.counts = counted.snapshot()
+            raise
+    return result, counted.snapshot()
+
+
+def _counted_future(inner: Future) -> Future:
+    """The result of a :func:`run_task` future, resolved only after the
+    worker's counts are merged into this process.
+
+    The merge runs in a copy of the submitter's context, so
+    :func:`repro.obs.collect` scopes open around the submission see the
+    worker's counts as if they had been made locally.  Cancelling the
+    returned future cancels the task.
+    """
+    context = contextvars.copy_context()
+    outer: Future = Future()
+
+    def settle(done: Future) -> None:
+        if done.cancelled():
+            outer.cancel()
+            return
+        error = done.exception()
+        if error is None:
+            result, counted = done.result()
+        else:
+            result, counted = None, getattr(error, "counts", {})
+        context.run(obs.merge, counted)
+        if not outer.set_running_or_notify_cancel():
+            return
+        if error is None:
+            outer.set_result(result)
+        else:
+            outer.set_exception(error)
+
+    outer.add_done_callback(
+        lambda done: inner.cancel() if done.cancelled() else None
+    )
+    inner.add_done_callback(settle)
+    return outer
 
 
 # ----------------------------------------------------------------------
@@ -223,8 +276,9 @@ class ThreadBackend(ExecutionBackend):
     submission order, which is what keeps parallel output identical to
     serial output.  This is the worker plumbing behind both
     :class:`~repro.flow.dse.ParallelExplorer` and the batch runner
-    (:func:`repro.flow.session.run_batch`); ``WorkerPool`` is its
-    historic name and remains an alias.
+    (:func:`repro.flow.session.run_batch`).  Every worker call runs
+    in a copy of the submitter's context (:func:`repro.obs.collect`
+    scopes included).
     """
 
     name = "thread"
@@ -251,7 +305,9 @@ class ThreadBackend(ExecutionBackend):
                 self._executor = ThreadPoolExecutor(
                     max_workers=self.jobs, thread_name_prefix="flow-pool"
                 )
-            return self._executor.submit(worker, *args)
+            return self._executor.submit(
+                contextvars.copy_context().run, worker, *args
+            )
 
     def close(self, wait: bool = True) -> None:
         """Shut the persistent executor down.
@@ -288,7 +344,10 @@ class ThreadBackend(ExecutionBackend):
         if self.jobs == 1:
             return fold(worker(item) for item in items)
         with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            futures = [pool.submit(worker, item) for item in items]
+            futures = [
+                pool.submit(contextvars.copy_context().run, worker, item)
+                for item in items
+            ]
             try:
                 return fold(future.result() for future in futures)
             finally:
@@ -306,11 +365,6 @@ class ThreadBackend(ExecutionBackend):
         fold: Optional[Callable[[Iterable[Any]], Any]] = None,
     ) -> Any:
         return self.map_ordered(task_named(name).fn, payloads, fold)
-
-
-#: Historic name of the thread backend (PRs 1-9); kept as the
-#: compatible spelling for existing callers and tests.
-WorkerPool = ThreadBackend
 
 
 def default_start_method() -> str:
@@ -394,8 +448,10 @@ class ProcessBackend(ExecutionBackend):
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.jobs, mp_context=self._context
                 )
-            return self._executor.submit(
-                run_task, task.name, task.module, payload
+            return _counted_future(
+                self._executor.submit(
+                    run_task, task.name, task.module, payload
+                )
             )
 
     def run_tasks_ordered(
@@ -418,7 +474,9 @@ class ProcessBackend(ExecutionBackend):
             max_workers=self.jobs, mp_context=self._context
         ) as pool:
             futures = [
-                pool.submit(run_task, task.name, task.module, payload)
+                _counted_future(
+                    pool.submit(run_task, task.name, task.module, payload)
+                )
                 for payload in items
             ]
             try:

@@ -24,6 +24,7 @@ if TYPE_CHECKING:  # avoid a runtime cycle with repro.flow.dse
     from repro.flow.dse import CandidatePoint, DesignPoint
     from repro.flow.spec import FlowSpec
 
+from repro import obs
 from repro.appmodel.model import ApplicationModel
 from repro.arch.platform import ArchitectureModel
 from repro.comm.serialization import SerializationModel
@@ -33,7 +34,6 @@ from repro.mamps.project import PlatformProject
 from repro.mapping.flow import MappingEffort, map_application
 from repro.mapping.pipeline import MappingPipeline
 from repro.mapping.spec import MappingResult
-from repro.sdf.engine import collect_engine_counters
 from repro.sim.platform_sim import MeasuredThroughput, PlatformSimulator
 
 
@@ -187,7 +187,7 @@ class DesignFlow:
         (e.g. for timing-only studies on non-functional models)."""
         effort = EffortReport()
 
-        with collect_engine_counters() as tiers:
+        with obs.collect() as counted:
             with effort.step("Generating architecture model"):
                 self.arch.validate()
 
@@ -225,11 +225,7 @@ class DesignFlow:
                     iterations=iterations,
                     warmup_iterations=warmup_iterations,
                 )
-        effort.engine_tiers = {
-            tier: count
-            for tier, count in tiers.snapshot().items()
-            if count
-        }
+        effort.engine_tiers = counted.snapshot("engine")
         return FlowResult(
             mapping_result=mapping_result,
             project=project,

@@ -46,9 +46,8 @@ from typing import (
 )
 
 from repro.appmodel.model import ApplicationModel
-from repro.flow.backend import (  # noqa: F401  (WorkerPool re-export)
+from repro.flow.backend import (
     ExecutionBackend,
-    WorkerPool,
     as_backend,
     backend_task,
 )

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.arch.area import platform_area
 from repro.artifacts.schema import (
     canonical_json,
@@ -69,6 +70,11 @@ from repro.runtime.residual import (
     ResidualPlatform,
     ResourceClaim,
     find_placement,
+)
+
+#: The platform transitions counted (``counters`` in ``/v1/platform``).
+PLATFORM_COUNTERS = (
+    "admissions", "rejections", "departures", "migrations", "analyses"
 )
 
 
@@ -142,13 +148,7 @@ class PlatformManager:
         self._libraries: Dict[str, OperatingPointLibrary] = {}
         self._lock = threading.RLock()
         self._next = 1
-        self.counters: Dict[str, int] = {
-            "admissions": 0,
-            "rejections": 0,
-            "departures": 0,
-            "migrations": 0,
-            "analyses": 0,
-        }
+        self.counters = obs.Counters()
         self.journal = (
             PlatformJournal(store) if store is not None else None
         )
@@ -226,11 +226,11 @@ class PlatformManager:
                 self._next = max(
                     self._next, _id_number(app.app_id) + 1
                 )
-                self.counters["admissions"] += 1
+                self.counters.inc("admissions")
             elif event == "depart":
                 app = self._apps.pop(data["app_id"])
                 self.residual.release(app.claim)
-                self.counters["departures"] += 1
+                self.counters.inc("departures")
             elif event == "migrate":
                 app = self._apps[data["app_id"]]
                 self.residual.release(app.claim)
@@ -243,7 +243,7 @@ class PlatformManager:
                 app.claim = claim
                 app.guarantee = decode_fraction(data["guarantee"])
                 app.source = "library"
-                self.counters["migrations"] += 1
+                self.counters.inc("migrations")
             else:
                 raise PlatformError(
                     f"unknown platform journal event {event!r}"
@@ -304,7 +304,7 @@ class PlatformManager:
             try:
                 return self._admit_locked(spec, library)
             except AdmissionError:
-                self.counters["rejections"] += 1
+                self.counters.inc("rejections")
                 raise
 
     def _admit_locked(
@@ -343,7 +343,7 @@ class PlatformManager:
                 spec, app, constraint, fixed, effort
             )
             analyses = 1
-            self.counters["analyses"] += 1
+            self.counters.inc("analyses")
             placed = (point, placement, claim, "spiral")
 
         point, placement, claim, source = placed
@@ -363,7 +363,7 @@ class PlatformManager:
             pinned=pinned,
         )
         self._apps[app_id] = record
-        self.counters["admissions"] += 1
+        self.counters.inc("admissions")
         if self.journal is not None:
             self.journal.append(
                 "admit",
@@ -466,7 +466,7 @@ class PlatformManager:
                     f"platform is not running {app_id!r}"
                 )
             self.residual.release(app.claim)
-            self.counters["departures"] += 1
+            self.counters.inc("departures")
             if self.journal is not None:
                 self.journal.append(
                     "depart", {"app_id": app_id, "migrate": migrate}
@@ -523,7 +523,7 @@ class PlatformManager:
                 app.claim = claim
                 app.guarantee = point.throughput
                 app.source = "library"
-                self.counters["migrations"] += 1
+                self.counters.inc("migrations")
                 if self.journal is not None:
                     self.journal.append(
                         "migrate",
@@ -589,7 +589,9 @@ class PlatformManager:
         with self._lock:
             payload = self.state_payload()
             payload["configured"] = True
-            payload["counters"] = dict(self.counters)
+            payload["counters"] = self.counters.snapshot(
+                names=PLATFORM_COUNTERS
+            )
             payload["journal_length"] = (
                 len(self.journal) if self.journal is not None else 0
             )
@@ -603,7 +605,9 @@ class PlatformManager:
                 "apps": len(self._apps),
                 "residual_tiles": len(self.residual.free_tiles()),
                 "total_tiles": self.residual.total_tiles(),
-                "counters": dict(self.counters),
+                "counters": self.counters.snapshot(
+                    names=PLATFORM_COUNTERS
+                ),
             }
 
     def apps(self) -> Tuple[PlacedApp, ...]:

@@ -26,11 +26,10 @@ from repro.sdf.repetition import is_consistent, repetition_vector
 from repro.sdf.deadlock import is_deadlock_free
 from repro.sdf.engine import (
     ENGINE_MODES,
+    ENGINE_TIERS,
     EngineUnsupportedError,
     ThroughputEngine,
     build_simulator,
-    collect_engine_counters,
-    engine_counters,
 )
 from repro.sdf.throughput import (
     ThroughputAnalyzer,
@@ -67,11 +66,10 @@ __all__ = [
     "is_deadlock_free",
     "analyze_throughput",
     "ENGINE_MODES",
+    "ENGINE_TIERS",
     "EngineUnsupportedError",
     "ThroughputEngine",
     "build_simulator",
-    "collect_engine_counters",
-    "engine_counters",
     "ThroughputAnalyzer",
     "ThroughputResult",
     "SelfTimedSimulator",

@@ -52,22 +52,20 @@ platform simulator, latency scans) obtain their simulator through
 point of the analysis stack -- CI forbids direct
 ``SelfTimedSimulator(...)`` calls outside :mod:`repro.sdf`.
 
-Tier usage is counted process-wide (:func:`engine_counters`, surfaced
-by ``GET /v1/healthz``) and per scope via
-:func:`collect_engine_counters` (surfaced in
-:class:`~repro.flow.effort.EffortReport`).
+Every analysis counts ``engine.<tier>`` in :mod:`repro.obs`: the
+process-wide counters surface in ``GET /v1/healthz``, a
+:func:`repro.obs.collect` scope in
+:class:`~repro.flow.effort.EffortReport`.
 """
 
 from __future__ import annotations
 
-import contextvars
 import heapq
-import threading
-from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.exceptions import DeadlockError, SimulationError
 from repro.sdf.deadlock import deadlock_report
 from repro.sdf.graph import SDFGraph, validate_graph
@@ -85,6 +83,8 @@ from repro.sdf.throughput import (
 ENGINE_MODES: Tuple[str, ...] = (
     "auto", "analytic", "vectorized", "reference"
 )
+#: The tiers an analysis lands on (the ``engine.*`` counter names).
+ENGINE_TIERS: Tuple[str, ...] = ENGINE_MODES[1:]
 
 #: HSDF expansion budget: total actor copies (sum of the repetition
 #: vector).  Beyond this the quadratic token-dependency scan of the
@@ -125,72 +125,6 @@ class EngineUnsupportedError(SimulationError):
     constraints the HSDF transform cannot express); ``auto`` never
     raises this -- it falls back and records the reason instead.
     """
-
-
-# ----------------------------------------------------------------------
-# tier counters
-# ----------------------------------------------------------------------
-class EngineCounters:
-    """Monotonic per-tier analysis counts (thread-safe)."""
-
-    __slots__ = ("_lock", "analytic", "vectorized", "reference")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.analytic = 0
-        self.vectorized = 0
-        self.reference = 0
-
-    def record(self, tier: str) -> None:
-        with self._lock:
-            setattr(self, tier, getattr(self, tier) + 1)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "analytic": self.analytic,
-                "vectorized": self.vectorized,
-                "reference": self.reference,
-            }
-
-    def total(self) -> int:
-        with self._lock:
-            return self.analytic + self.vectorized + self.reference
-
-
-_GLOBAL_COUNTERS = EngineCounters()
-
-_collector_stack: "contextvars.ContextVar[Tuple[EngineCounters, ...]]" = (
-    contextvars.ContextVar("engine_counter_collectors", default=())
-)
-
-
-def engine_counters() -> EngineCounters:
-    """The process-wide tier counters (``/v1/healthz`` reads these)."""
-    return _GLOBAL_COUNTERS
-
-
-@contextmanager
-def collect_engine_counters() -> Iterator[EngineCounters]:
-    """Additionally count tier hits into a scoped collector.
-
-    Collectors nest; every analysis inside the ``with`` block (in this
-    context -- worker threads spawned inside the block keep their own
-    context and only feed the process-wide counters) is recorded in the
-    yielded :class:`EngineCounters` as well as globally.
-    """
-    collector = EngineCounters()
-    token = _collector_stack.set(_collector_stack.get() + (collector,))
-    try:
-        yield collector
-    finally:
-        _collector_stack.reset(token)
-
-
-def _record_tier(tier: str) -> None:
-    _GLOBAL_COUNTERS.record(tier)
-    for collector in _collector_stack.get():
-        collector.record(tier)
 
 
 # ----------------------------------------------------------------------
@@ -579,17 +513,17 @@ class ThroughputEngine:
                         f"analytic engine unavailable for "
                         f"{self.graph.name!r}: {self._decline}"
                     )
-                _record_tier("analytic")
+                obs.inc("engine.analytic")
                 result = self._analyze_analytic(budgeted=False)
             elif self.mode == "vectorized":
-                _record_tier("vectorized")
+                obs.inc("engine.vectorized")
                 result = self._analyze_vectorized(max_iterations)
             else:
-                _record_tier("reference")
+                obs.inc("engine.reference")
                 result = self._analyze_reference(max_iterations)
             return replace(result, tier_reason=reason)
         if self._decline is not None:
-            _record_tier("vectorized")
+            obs.inc("engine.vectorized")
             result = self._analyze_vectorized(max_iterations)
             return replace(result, tier_reason=self._decline)
         # Adaptive probe: a state space that recurs before the simulation
@@ -602,7 +536,7 @@ class ThroughputEngine:
         except UnboundedExecutionError:
             pass
         else:
-            _record_tier("vectorized")
+            obs.inc("engine.vectorized")
             return replace(result, tier_reason=(
                 f"state space recurred within the {probe}-iteration "
                 "probe; simulation is cheaper than the HSDF transform"
@@ -610,13 +544,13 @@ class ThroughputEngine:
         try:
             result = self._analyze_analytic(budgeted=True)
         except CycleRatioBudgetError:
-            _record_tier("vectorized")
+            obs.inc("engine.vectorized")
             result = self._analyze_vectorized(max_iterations)
             return replace(result, tier_reason=(
                 "cycle-ratio iteration exceeded its relaxation budget; "
                 "fell back to the vectorized simulation"
             ))
-        _record_tier("analytic")
+        obs.inc("engine.analytic")
         return replace(result, tier_reason=(
             f"state space outlived the {probe}-iteration probe"
         ))

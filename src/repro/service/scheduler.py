@@ -59,6 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro import obs
 from repro.artifacts.schema import (
     canonical_json,
     from_payload,
@@ -78,8 +79,7 @@ from repro.flow.spec import FlowSpec, load_flow_spec
 from repro.flow.usecases import UseCaseMapping
 from repro.mapping.spec import MappingResult
 from repro.runtime.manager import PlatformManager
-from repro.power import power_counters
-from repro.sdf.engine import engine_counters
+from repro.sdf.engine import ENGINE_TIERS
 
 #: Artifact kind of the served response documents.
 RESPONSE_KIND = "flow-response"
@@ -293,24 +293,10 @@ class Job:
             }
 
 
-@dataclass
-class ServiceCounters:
-    """Monotonic service counters, surfaced by ``GET /v1/healthz``."""
-
-    submitted: int = 0
-    coalesced: int = 0
-    artifact_hits: int = 0
-    computed: int = 0
-    failed: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "coalesced": self.coalesced,
-            "artifact_hits": self.artifact_hits,
-            "computed": self.computed,
-            "failed": self.failed,
-        }
+#: The scheduler's request outcomes (``counters`` in ``/v1/healthz``).
+SERVICE_COUNTERS = (
+    "submitted", "coalesced", "artifact_hits", "computed", "failed"
+)
 
 
 # ----------------------------------------------------------------------
@@ -402,7 +388,7 @@ class FlowScheduler:
         # quiet -- forking lazily at first request risks inheriting a
         # lock another thread holds mid-operation
         self.pool.warm()
-        self.counters = ServiceCounters()
+        self.counters = obs.Counters()
         self._jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, Job] = {}
         self._platform: Optional[PlatformManager] = None
@@ -454,15 +440,16 @@ class FlowScheduler:
     def health(self) -> Dict[str, Any]:
         """Queue depth plus the monotonic counters (``/v1/healthz``).
 
-        ``engine`` exposes the process-wide throughput-engine tier
-        counters (:func:`repro.sdf.engine.engine_counters`): how many
-        analyses the analytic / vectorized / reference tiers served
-        since the process started.  ``power`` exposes the power-model
-        counters (:func:`repro.power.power_counters`): how many platform
-        power / application energy estimates were computed (zero unless
-        a client opted into budgets; see docs/power.md).
+        ``counters`` are this scheduler's request outcomes.  ``engine``
+        and ``power`` are the process-wide :mod:`repro.obs` counts of
+        throughput analyses per engine tier and of platform power /
+        application energy estimates, worker-process work included
+        (the process backend merges each task's counts back here).
+        ``power`` stays zero in the service: a FlowSpec carries no
+        power model, so flow requests estimate nothing.
         """
         platform = self._platform
+        counts = obs.counters()
         return {
             "status": "ok",
             "workspace": str(self.workspace),
@@ -473,9 +460,9 @@ class FlowScheduler:
             "history_limit": self.history_limit,
             "queue_depth": self._pending,
             "jobs_tracked": len(self._jobs),
-            "counters": self.counters.snapshot(),
-            "engine": engine_counters().snapshot(),
-            "power": power_counters().snapshot(),
+            "counters": self.counters.snapshot(names=SERVICE_COUNTERS),
+            "engine": counts.snapshot("engine", ENGINE_TIERS),
+            "power": counts.snapshot("power", ("platform", "application")),
             "platform": (
                 platform.occupancy()
                 if platform is not None
@@ -546,12 +533,12 @@ class FlowScheduler:
     # loop-side internals
     # ------------------------------------------------------------------
     async def _submit(self, spec: FlowSpec) -> Dict[str, Any]:
-        self.counters.submitted += 1
+        self.counters.inc("submitted")
         key = flow_request_key(spec)
         inflight = self._inflight.get(key)
         if inflight is not None:
             # coalesce: one computation fans out to every waiter
-            self.counters.coalesced += 1
+            self.counters.inc("coalesced")
             return inflight.view(coalesced=True)
         text = self.store.get_text(RESPONSE_KIND, key)
         if text is not None:
@@ -559,7 +546,7 @@ class FlowScheduler:
             # The document rides along in the submit response -- it is
             # already in hand, and making the client fetch it by id
             # would race bounded-history eviction under load.
-            self.counters.artifact_hits += 1
+            self.counters.inc("artifact_hits")
             job = self._new_job(key, spec)
             job.mark_done(SOURCE_ARTIFACTS, text)
             view = job.view()
@@ -607,10 +594,10 @@ class FlowScheduler:
                 else f"{type(error).__name__}: {error}"
             )
             job.mark_failed(detail)
-            self.counters.failed += 1
+            self.counters.inc("failed")
         else:
             job.mark_done(SOURCE_COMPUTED, text)
-            self.counters.computed += 1
+            self.counters.inc("computed")
         finally:
             self._pending -= 1
             self._inflight.pop(job.request_key, None)

@@ -5,13 +5,13 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.flow.backend import (
     BACKENDS,
     BackendError,
     ExecutionBackend,
     ProcessBackend,
     ThreadBackend,
-    WorkerPool,
     as_backend,
     backend_task,
     create_backend,
@@ -27,6 +27,14 @@ def _double_task(payload):
 
 @backend_task("test.pid")
 def _pid_task(payload):
+    return {"pid": os.getpid()}
+
+
+@backend_task("test.count")
+def _count_task(payload):
+    obs.inc("test.counted", payload["times"])
+    if payload.get("fail"):
+        raise ValueError("counted, then failed")
     return {"pid": os.getpid()}
 
 
@@ -59,15 +67,29 @@ class TestTaskRegistry:
 
     def test_run_task_reimports_and_dispatches(self):
         # the child-process entry point: resolve by (name, module)
-        assert run_task("test.double", __name__, {"value": 5}) == {
-            "value": 10
-        }
+        assert run_task("test.double", __name__, {"value": 5}) == (
+            {"value": 10}, {}
+        )
+
+    def test_run_task_returns_the_counts_it_made(self):
+        result, counted = run_task("test.count", __name__, {"times": 3})
+        assert counted == {"test.counted": 3}
+        with pytest.raises(ValueError) as raised:
+            run_task("test.count", __name__, {"times": 2, "fail": True})
+        assert raised.value.counts == {"test.counted": 2}
 
 
 class TestThreadBackend:
-    def test_is_the_worker_pool(self):
-        # the historic name keeps working for every existing caller
-        assert WorkerPool is ThreadBackend
+    def test_is_the_default_backend(self):
+        # the one worker pool: what callers get without naming a backend
+        assert type(as_backend(None)) is ThreadBackend
+
+    def test_workers_count_into_the_submitters_scope(self):
+        with ThreadBackend(2) as pool:
+            with obs.collect() as counted:
+                pool.submit(obs.inc, "test.counted").result()
+                pool.map_ordered(obs.inc, ["test.counted"] * 2)
+        assert counted["test.counted"] == 3
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
@@ -114,6 +136,24 @@ class TestProcessBackend:
                 )
             )
         assert results == [{"value": 8}, {"value": 10}, {"value": 12}]
+
+    def test_worker_counts_merge_before_the_future_resolves(self):
+        before = obs.counters()["test.counted"]
+        with ProcessBackend(1) as pool:
+            with obs.collect() as counted:
+                outcome = pool.submit_task("test.count", {"times": 2})
+                assert outcome.result()["pid"] != os.getpid()
+                assert counted["test.counted"] == 2
+                failed = pool.submit_task(
+                    "test.count", {"times": 1, "fail": True}
+                )
+                with pytest.raises(ValueError, match="counted"):
+                    failed.result()
+                list(pool.run_tasks_ordered(
+                    "test.count", [{"times": 1}, {"times": 4}]
+                ))
+        assert counted["test.counted"] == 8
+        assert obs.counters()["test.counted"] == before + 8
 
     def test_map_ordered_refuses_bare_callables(self):
         with ProcessBackend(1) as pool:

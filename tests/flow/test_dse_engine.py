@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro import obs
 from repro.appmodel import (
     ActorImplementation,
     ApplicationModel,
@@ -150,6 +151,20 @@ class TestParetoFront:
         size = len(front)
         front.add(result.points[0])
         assert len(front) == size
+
+
+class TestCountersAcrossBackends:
+    def test_process_sweep_counts_into_the_collect_scope(self, app, space):
+        tiers = {}
+        for backend in ("thread", "process"):
+            with obs.collect() as counted:
+                ParallelExplorer(
+                    Evaluator(app), jobs=2, backend=backend
+                ).explore(space)
+            tiers[backend] = counted.snapshot("engine")
+        # every evaluated point ran at least one analysis in a worker
+        assert sum(tiers["process"].values()) >= len(space.points())
+        assert tiers["process"] == tiers["thread"]
 
 
 class TestParallelMatchesSerial:

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from repro import obs
 from repro.arch import architecture_from_template, master_tile, slave_tile
 from repro.arch.area import tile_area
 from repro.exceptions import PowerError, ReproError
 from repro.power import (
     BASE_TECH_NM,
     TECH_NODES,
-    PowerCounters,
     PowerModel,
+    platform_power,
     words_per_token,
 )
 from repro.power.model import (
@@ -147,11 +148,11 @@ class TestInterconnectEnergy:
 
 class TestCounters:
     def test_record_and_snapshot(self):
-        counters = PowerCounters()
-        counters.record("platform")
-        counters.record("application")
-        counters.record("application")
-        assert counters.snapshot() == {
-            "platform": 1,
-            "application": 2,
+        # estimates count as power.<kind> in the shared registry
+        with obs.collect() as counted:
+            platform_power(architecture_from_template(1, "fsl"))
+            platform_power(architecture_from_template(2, "fsl"))
+        assert counted.snapshot("power", ("platform", "application")) == {
+            "platform": 2,
+            "application": 0,
         }

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro import obs
 from repro.exceptions import DeadlockError, SimulationError
 from repro.sdf import SDFGraph
 from repro.sdf.buffers import (
@@ -14,11 +15,8 @@ from repro.sdf.buffers import (
 from repro.sdf.engine import (
     ENGINE_MODES,
     MAX_HSDF_COPIES,
-    EngineCounters,
     EngineUnsupportedError,
     ThroughputEngine,
-    collect_engine_counters,
-    engine_counters,
     normalize_engine_mode,
 )
 from repro.sdf.latency import (
@@ -284,40 +282,27 @@ class TestWarmReuse:
 # ----------------------------------------------------------------------
 class TestCounters:
     def test_global_counters_increment(self, figure2_bounded):
-        before = engine_counters().snapshot()
+        before = obs.counters().snapshot("engine")
         ThroughputEngine(figure2_bounded).analyze()
         ThroughputEngine(figure2_bounded, mode="reference").analyze()
-        after = engine_counters().snapshot()
-        assert after["vectorized"] == before["vectorized"] + 1
-        assert after["reference"] == before["reference"] + 1
+        after = obs.counters().snapshot("engine")
+        assert after["vectorized"] == before.get("vectorized", 0) + 1
+        assert after["reference"] == before.get("reference", 0) + 1
 
     def test_scoped_collector_counts_only_inside(self, figure2_bounded):
         engine = ThroughputEngine(figure2_bounded, mode="vectorized")
         engine.analyze()  # outside: must not be collected
-        with collect_engine_counters() as tiers:
+        with obs.collect() as counted:
             engine.analyze()
             engine.analyze()
         engine.analyze()  # after: must not be collected
-        assert tiers.snapshot() == {
-            "analytic": 0, "vectorized": 2, "reference": 0,
-        }
-        assert tiers.total() == 2
+        assert counted.snapshot() == {"engine.vectorized": 2}
 
     def test_collectors_nest(self, figure2_bounded):
         engine = ThroughputEngine(figure2_bounded)
-        with collect_engine_counters() as outer:
+        with obs.collect() as outer:
             engine.analyze()
-            with collect_engine_counters() as inner:
+            with obs.collect() as inner:
                 engine.analyze()
-        assert outer.snapshot()["vectorized"] == 2
-        assert inner.snapshot()["vectorized"] == 1
-
-    def test_counters_are_plain_value_objects(self):
-        counters = EngineCounters()
-        counters.record("vectorized")
-        counters.record("vectorized")
-        counters.record("analytic")
-        assert counters.total() == 3
-        assert counters.snapshot() == {
-            "analytic": 1, "vectorized": 2, "reference": 0,
-        }
+        assert outer["engine.vectorized"] == 2
+        assert inner["engine.vectorized"] == 1

@@ -101,8 +101,8 @@ class TestSubmission:
         # the whole second submission did zero mapping analyses
         assert len(count_analyses) == 1
         counters = scheduler.counters
-        assert counters.computed == 1
-        assert counters.artifact_hits == 1
+        assert counters["computed"] == 1
+        assert counters["artifact_hits"] == 1
 
     def test_multi_app_request_serves_use_case_union(self, scheduler):
         view = submit_done(scheduler, DUO)
@@ -132,7 +132,7 @@ class TestSubmission:
         assert view["status"] == "failed"
         assert view["error"]
         assert scheduler.result_text(view["id"]) is None
-        assert scheduler.counters.failed == 1
+        assert scheduler.counters["failed"] == 1
         # the stage whose compute raised is closed out, not left
         # "running" inside a failed job
         assert view["stages"]
@@ -180,14 +180,14 @@ class TestCoalescing:
         assert all(v["status"] == "done" for v in views)
         # exactly one underlying computation...
         assert len(count_analyses) == 1
-        assert scheduler.counters.computed == 1
+        assert scheduler.counters["computed"] == 1
         # ...and every client got the same bytes
         texts = {scheduler.result_text(v["id"]) for v in views}
         assert len(texts) == 1
         # in-flight duplicates shared the computing job
         shared = {v["id"] for v in views if v["source"] != SOURCE_ARTIFACTS}
         assert len(shared) == 1
-        assert scheduler.counters.coalesced >= 1
+        assert scheduler.counters["coalesced"] >= 1
 
     def test_queue_bound_rejects_excess_submissions(
         self, tmp_path, monkeypatch
@@ -240,13 +240,13 @@ class TestShutdown:
         release.set()  # let the worker thread finish
 
     def test_worker_pool_close_without_wait(self):
-        """WorkerPool.close(wait=False) returns while a worker runs."""
+        """ThreadBackend.close(wait=False) returns while a worker runs."""
         import time
 
-        from repro.flow.dse import WorkerPool
+        from repro.flow.backend import ThreadBackend
 
         release = threading.Event()
-        pool = WorkerPool(1)
+        pool = ThreadBackend(1)
         future = pool.submit(release.wait, 60)
         start = time.monotonic()
         pool.close(wait=False)

@@ -67,7 +67,7 @@ class TestProcessCompute:
         again = process_scheduler.submit(SOLO)
         assert again["status"] == "done"
         assert again["source"] == SOURCE_ARTIFACTS
-        assert process_scheduler.counters.artifact_hits == 1
+        assert process_scheduler.counters["artifact_hits"] == 1
         assert process_scheduler.result_text(
             again["id"]
         ) == process_scheduler.result_text(first["id"])
@@ -97,6 +97,27 @@ class TestHealth:
             "submitted", "coalesced", "artifact_hits", "computed",
             "failed",
         }
+
+    def test_engine_and_power_counts_match_across_backends(self, tmp_path):
+        """Worker-process analyses reach the parent's healthz counters."""
+        deltas = {}
+        for backend in ("thread", "process"):
+            with FlowScheduler(
+                tmp_path / backend, jobs=1, backend=backend
+            ) as scheduler:
+                before = scheduler.health()
+                view = wait_done(scheduler, scheduler.submit(SOLO)["id"])
+                assert view["source"] == SOURCE_COMPUTED
+                after = scheduler.health()
+            deltas[backend] = {
+                group: {
+                    name: after[group][name] - before[group][name]
+                    for name in after[group]
+                }
+                for group in ("engine", "power")
+            }
+        assert sum(deltas["thread"]["engine"].values()) >= 1
+        assert deltas["process"] == deltas["thread"]
 
     def test_thread_scheduler_reports_its_backend(self, tmp_path):
         with FlowScheduler(tmp_path / "ws", jobs=1) as scheduler:

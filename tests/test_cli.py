@@ -42,9 +42,10 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "deadlock-free: NO" in out
 
-    def test_missing_file_fails_cleanly(self, tmp_path):
-        with pytest.raises((FileNotFoundError, OSError)):
-            main(["analyze", str(tmp_path / "nope.xml")])
+    def test_missing_file_fails_cleanly(self, tmp_path, capsys):
+        # an error line and exit 1, not a FileNotFoundError traceback
+        assert main(["analyze", str(tmp_path / "nope.xml")]) == 1
+        assert "error: cannot read graph" in capsys.readouterr().err
 
     def test_json_output_includes_mapping_result(self, graph_file, capsys):
         from fractions import Fraction
@@ -103,6 +104,12 @@ class TestAnalyze:
         assert payload["deadlock_free"] is False
         assert "throughput" not in payload
         assert "mapping" not in payload
+
+    def test_malformed_graph_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "broken.xml"
+        path.write_text("<sdf3><applicationGraph>", encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        assert "error: cannot read graph" in capsys.readouterr().err
 
 
 class TestDemo:
@@ -165,7 +172,7 @@ class TestRunSpec:
 
 class TestDSE:
     def test_prints_pareto_table(self, capsys):
-        assert main(["dse", "gradient", "--max-tiles", "2"]) == 0
+        assert main(["explore", "gradient", "--max-tiles", "2"]) == 0
         out = capsys.readouterr().out
         assert "1t/fsl" in out
         assert "pareto" in out
@@ -183,6 +190,11 @@ class TestDSE:
     def test_unknown_binding_rejected(self):
         with pytest.raises(SystemExit):
             main(["explore", "--binding", "quantum"])
+
+    def test_empty_sweep_rejected(self, capsys):
+        assert main(["explore", "--max-tiles", "0"]) == 1
+        assert "error: --max-tiles must be >= 1, got 0" in \
+            capsys.readouterr().err
 
 
 def test_requires_command():
@@ -544,6 +556,13 @@ class TestServe:
         assert main(["serve", "--workspace", ws, "--max-queue", "0"]) == 1
         assert "--max-queue" in capsys.readouterr().err
         # nothing was bound or created before validation failed
+        assert not (tmp_path / "ws").exists()
+
+    def test_rejects_out_of_range_port(self, tmp_path, capsys):
+        ws = str(tmp_path / "ws")
+        assert main(["serve", "--workspace", ws, "--port", "70000"]) == 1
+        assert "error: --port must be in 0..65535, got 70000" in \
+            capsys.readouterr().err
         assert not (tmp_path / "ws").exists()
 
 
