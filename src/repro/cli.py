@@ -317,12 +317,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.flow import (
-        DesignFlow,
-        execute_spec,
-        execute_spec_on,
-        load_flow_spec,
-    )
+    from repro.flow import DesignFlow, execute_spec_on, load_flow_spec
 
     if args.backend == "process" and not args.workspace:
         raise ReproError(
@@ -350,18 +345,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "analysis-side session path does not run; drop "
                 "--workspace to measure"
             )
-        if args.backend == "process":
-            from repro.flow import create_backend
-
-            engine = create_backend("process", args.jobs)
-            try:
-                result = execute_spec_on(
-                    spec, args.workspace, backend=engine
-                )
-            finally:
-                engine.close()
-        else:
-            result = execute_spec(spec, args.workspace)
+        result = execute_spec_on(spec, args.workspace, backend=args.backend)
         if args.json:
             from repro.artifacts import canonical_json, to_payload
 
@@ -836,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="execute a declarative FlowSpec scenario (TOML or JSON)",
     )
-    add(run, "--spec", "--workspace", "--json", "--backend", "--jobs",
+    add(run, "--spec", "--workspace", "--json", "--backend",
         workspace=dict(help="run as a resumable analysis-side "
                             "FlowSession against this workspace "
                             "(required for multi-application specs "

@@ -2,38 +2,39 @@
 
 Everything in the flow that runs work concurrently -- the exploration
 engine (:mod:`repro.flow.dse`), the batch runner
-(:func:`repro.flow.session.run_batch`) and the flow service scheduler
-(:mod:`repro.service.scheduler`) -- goes through one
-:class:`ExecutionBackend`:
+(:func:`repro.flow.session.run_batch`), ``repro run --workspace``
+(:func:`repro.flow.session.execute_spec_on`) and the flow service
+scheduler (:mod:`repro.service.scheduler`) -- runs one registered
+:func:`backend_task` per work item: a module-level function taking a
+JSON-able payload and returning a JSON-able result.  The task is the
+only worker body; the backend decides only *where* it runs:
 
-* :class:`ThreadBackend` (``"thread"``): deterministic ordered
-  fan-out over a ``concurrent.futures`` thread pool, with
-  ``jobs == 1`` strictly serial.  Workers share the caller's memory, so
-  arbitrary callables (closures, bound methods) are fine -- but
-  pure-Python work contends on the GIL.
-* :class:`ProcessBackend` (``"process"``) fans *registered tasks* out
-  over a stdlib :class:`~concurrent.futures.ProcessPoolExecutor`.  Work
-  crosses the process boundary as JSON payloads (a
-  :meth:`~repro.flow.spec.FlowSpec.to_document` document, a canonical
-  artifact payload), never as pickled object graphs, so only
-  :func:`backend_task` functions -- module-level, payload-in /
-  payload-out -- are eligible.  Results come back as canonical
-  payloads and are reassembled through the artifact codecs; the
-  content-addressed :class:`~repro.artifacts.store.ArtifactStore`
-  (atomic, idempotent writes) is the only coordination N workers --
-  or N independent ``repro serve`` replicas sharing a workspace --
-  ever need.
+* :class:`ThreadBackend` (``"thread"``) calls the task function in this
+  process -- deterministic ordered fan-out over a ``concurrent.futures``
+  thread pool, with ``jobs == 1`` strictly serial.
+* :class:`ProcessBackend` (``"process"``) ships the task *name* and its
+  payload to a stdlib :class:`~concurrent.futures.ProcessPoolExecutor`.
+  Payloads are documents (a :meth:`~repro.flow.spec.FlowSpec.to_document`
+  document, a canonical artifact payload), never pickled object graphs.
+  The content-addressed :class:`~repro.artifacts.store.ArtifactStore`
+  (atomic, idempotent writes) is the only coordination N workers -- or
+  N independent ``repro serve`` replicas sharing a workspace -- ever
+  need.
 
-Both backends also accept *local* callables via :meth:`submit`; on the
-process backend those run on a small auxiliary **thread** pool (bound
-methods and closures are not picklable), which is exactly what the
-scheduler's platform operations need.
+In-process state that cannot cross a process boundary reaches a task
+through the submitter's context: thread workers run every call in a
+copy of it, so a task can pick up, say, the caller's evaluator or a
+job's stage observer, while a worker process runs each task in an
+empty context and rebuilds what it needs from the payload.  Telemetry
+rides the same split: thread workers count into the submitter's
+:func:`repro.obs.collect` scopes directly, and process workers return
+their :mod:`repro.obs` counts with each result, merged here before the
+task's future resolves.
 
-Telemetry survives the backend choice too: thread workers run in a
-copy of the submitter's context, and process workers return their
-:mod:`repro.obs` counts with each result, merged here before the
-task's future resolves -- so process-wide counters and
-:func:`repro.obs.collect` scopes read the same under either backend.
+:meth:`ExecutionBackend.submit` additionally runs *local* callables
+that never leave this process (the scheduler's platform operations are
+bound methods over live state); on the process backend those run on a
+small auxiliary thread pool.
 
 The byte-identity guarantee of the flow survives the backend choice:
 a task computes canonical artifacts keyed by content, so a thread run
@@ -142,9 +143,12 @@ def run_task(
 
     Importing ``module`` (re-)runs its :func:`backend_task`
     registrations, so a freshly spawned worker that never saw the
-    parent's imports still resolves the task.  Returns the task's
-    result next to the :mod:`repro.obs` counts it made; a task that
-    raises carries those counts on the error as ``counts``.
+    parent's imports still resolves the task.  The task runs in an
+    empty context: a forked worker inherits the context of whichever
+    thread forked it, and must not see that submitter's in-process
+    state.  Returns the task's result next to the :mod:`repro.obs`
+    counts it made; a task that raises carries those counts on the
+    error as ``counts``.
     """
     task = _TASKS.get(name)
     if task is None:
@@ -154,6 +158,12 @@ def run_task(
         raise BackendError(
             f"task {name!r} not registered by importing {module!r}"
         )
+    return contextvars.Context().run(_run_counted, task, payload)
+
+
+def _run_counted(
+    task: Task, payload: Dict[str, Any]
+) -> Tuple[Any, Dict[str, int]]:
     with obs.collect() as counted:
         try:
             result = task.fn(payload)
@@ -205,21 +215,16 @@ def _counted_future(inner: Future) -> Future:
 class ExecutionBackend:
     """The protocol both backends implement.
 
-    Two submission surfaces:
-
-    * **local callables** -- :meth:`submit` / :meth:`map_ordered` run
-      arbitrary callables.  On the thread backend these are the
-      workers themselves; on the process backend :meth:`submit` runs
-      on an auxiliary thread pool (for unpicklable work like bound
-      methods) and :meth:`map_ordered` is refused.
-    * **registered tasks** -- :meth:`submit_task` /
-      :meth:`run_tasks_ordered` run :func:`backend_task` functions by
-      name with JSON payloads; the only surface that crosses a
-      process boundary.
+    Work is a registered :func:`backend_task` run by name with a
+    JSON-able payload: :meth:`submit_task` for one call,
+    :meth:`run_tasks_ordered` for an ordered batch.  Both backends run
+    the same task function; only the place differs.  :meth:`submit`
+    runs a *local* callable that stays in this process (platform
+    operations over live state), never heavy computation.
 
     ``submit``/``submit_task`` use one *persistent* executor (alive
     until :meth:`close`) -- the long-lived mode the flow service runs
-    on; the ordered-map calls tear their executor down per batch.
+    on; :meth:`run_tasks_ordered` tears its executor down per batch.
     """
 
     name: str = "?"
@@ -229,19 +234,9 @@ class ExecutionBackend:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
 
-    # -- local callables ----------------------------------------------
     def submit(self, worker: Callable[..., Any], *args: Any) -> Future:
         raise NotImplementedError
 
-    def map_ordered(
-        self,
-        worker: Callable[[Any], Any],
-        items: Iterable[Any],
-        fold: Optional[Callable[[Iterable[Any]], Any]] = None,
-    ) -> Any:
-        raise NotImplementedError
-
-    # -- registered tasks ---------------------------------------------
     def submit_task(self, name: str, payload: Dict[str, Any]) -> Future:
         raise NotImplementedError
 
@@ -251,6 +246,14 @@ class ExecutionBackend:
         payloads: Iterable[Dict[str, Any]],
         fold: Optional[Callable[[Iterable[Any]], Any]] = None,
     ) -> Any:
+        """Run task ``name`` on every payload; results in submission
+        order.
+
+        ``fold`` consumes the lazily produced result iterator and its
+        return value is returned; it may stop early (remaining work is
+        cancelled; a call already running completes).  The default
+        fold collects a list.
+        """
         raise NotImplementedError
 
     def warm(self) -> None:
@@ -268,17 +271,15 @@ class ExecutionBackend:
 
 
 class ThreadBackend(ExecutionBackend):
-    """Deterministic ordered fan-out over a thread pool.
+    """Registered tasks called in this process, over a thread pool.
 
-    ``jobs == 1`` stays strictly serial (no pool, no threads), so a
-    single-job run is bit-for-bit what a loop would do.  With more jobs,
-    work items are submitted eagerly and results are *consumed* in
-    submission order, which is what keeps parallel output identical to
-    serial output.  This is the worker plumbing behind both
-    :class:`~repro.flow.dse.ParallelExplorer` and the batch runner
-    (:func:`repro.flow.session.run_batch`).  Every worker call runs
-    in a copy of the submitter's context (:func:`repro.obs.collect`
-    scopes included).
+    ``jobs == 1`` ordered batches stay strictly serial (no pool, no
+    threads), so a single-job run is bit-for-bit what a loop would do.
+    With more jobs, payloads are submitted eagerly and results are
+    *consumed* in submission order, which is what keeps parallel
+    output identical to serial output.  Every task call runs in a copy
+    of the submitter's context (:func:`repro.obs.collect` scopes and
+    any state a task reads from it included).
     """
 
     name = "thread"
@@ -291,8 +292,8 @@ class ThreadBackend(ExecutionBackend):
     def submit(self, worker: Callable[..., Any], *args: Any) -> Future:
         """Submit one call to the pool's *persistent* executor.
 
-        Unlike :meth:`map_ordered`, which tears its thread pool down at
-        the end of every batch, ``submit`` keeps one executor (of
+        Unlike :meth:`run_tasks_ordered`, which tears its thread pool
+        down at the end of every batch, ``submit`` keeps one executor (of
         ``jobs`` workers) alive until :meth:`close` -- the long-lived
         mode the flow service scheduler (:mod:`repro.service`) runs on,
         where requests arrive over time rather than as one sequence.
@@ -312,8 +313,8 @@ class ThreadBackend(ExecutionBackend):
     def close(self, wait: bool = True) -> None:
         """Shut the persistent executor down.
 
-        Only needed after :meth:`submit`; :meth:`map_ordered` cleans up
-        after itself.  Idempotent.  ``wait=False`` returns without
+        Only needed after :meth:`submit`; :meth:`run_tasks_ordered`
+        cleans up after itself.  Idempotent.  ``wait=False`` returns without
         joining running workers -- for shutdown paths that already
         waited out a drain timeout and must hand control back rather
         than block behind a wedged job.  (The interpreter still joins
@@ -325,36 +326,6 @@ class ThreadBackend(ExecutionBackend):
         if executor is not None:
             executor.shutdown(wait=wait, cancel_futures=not wait)
 
-    def map_ordered(
-        self,
-        worker: Callable[[Any], Any],
-        items: Iterable[Any],
-        fold: Optional[Callable[[Iterable[Any]], Any]] = None,
-    ) -> Any:
-        """Apply ``worker`` to every item; results in submission order.
-
-        ``fold`` consumes the lazily produced result iterator and its
-        return value is returned; it may stop early (remaining futures
-        are cancelled -- workers should also honour a stop flag, since a
-        running future cannot be cancelled).  The default fold collects
-        a list.
-        """
-        if fold is None:
-            fold = list
-        if self.jobs == 1:
-            return fold(worker(item) for item in items)
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            futures = [
-                pool.submit(contextvars.copy_context().run, worker, item)
-                for item in items
-            ]
-            try:
-                return fold(future.result() for future in futures)
-            finally:
-                for future in futures:
-                    future.cancel()  # no-op for completed futures
-
-    # -- registered tasks run as plain calls on the thread side --------
     def submit_task(self, name: str, payload: Dict[str, Any]) -> Future:
         return self.submit(task_named(name).fn, payload)
 
@@ -364,7 +335,21 @@ class ThreadBackend(ExecutionBackend):
         payloads: Iterable[Dict[str, Any]],
         fold: Optional[Callable[[Iterable[Any]], Any]] = None,
     ) -> Any:
-        return self.map_ordered(task_named(name).fn, payloads, fold)
+        fn = task_named(name).fn
+        if fold is None:
+            fold = list
+        if self.jobs == 1:
+            return fold(fn(payload) for payload in payloads)
+        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
+            futures = [
+                pool.submit(contextvars.copy_context().run, fn, payload)
+                for payload in payloads
+            ]
+            try:
+                return fold(future.result() for future in futures)
+            finally:
+                for future in futures:
+                    future.cancel()  # no-op for completed futures
 
 
 def default_start_method() -> str:
@@ -385,10 +370,8 @@ class ProcessBackend(ExecutionBackend):
 
     Only :func:`backend_task` functions run in workers
     (:meth:`submit_task` / :meth:`run_tasks_ordered`); :meth:`submit`
-    accepts arbitrary callables but runs them on an auxiliary *thread*
-    pool in this process -- the escape hatch for work that cannot ship
-    (bound methods, closures).  :meth:`map_ordered` is refused rather
-    than silently degraded to threads.
+    runs its local callable on an auxiliary *thread* pool in this
+    process.
 
     ``close(wait=False)`` **terminates** the worker processes (after
     cancelling queued work) instead of waiting them out: an
@@ -411,7 +394,6 @@ class ProcessBackend(ExecutionBackend):
         self._aux: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
 
-    # -- local callables ----------------------------------------------
     def submit(self, worker: Callable[..., Any], *args: Any) -> Future:
         """Run one *local* callable on the auxiliary thread pool.
 
@@ -426,20 +408,6 @@ class ProcessBackend(ExecutionBackend):
                 )
             return self._aux.submit(worker, *args)
 
-    def map_ordered(
-        self,
-        worker: Callable[[Any], Any],
-        items: Iterable[Any],
-        fold: Optional[Callable[[Iterable[Any]], Any]] = None,
-    ) -> Any:
-        raise BackendError(
-            "the process backend runs registered tasks only; use "
-            "run_tasks_ordered(name, payloads) with a @backend_task "
-            "function (arbitrary callables cannot cross the process "
-            "boundary)"
-        )
-
-    # -- registered tasks ---------------------------------------------
     def submit_task(self, name: str, payload: Dict[str, Any]) -> Future:
         """Ship one task to the *persistent* worker-process pool."""
         task = task_named(name)
@@ -460,12 +428,6 @@ class ProcessBackend(ExecutionBackend):
         payloads: Iterable[Dict[str, Any]],
         fold: Optional[Callable[[Iterable[Any]], Any]] = None,
     ) -> Any:
-        """Ship every payload; fold results in submission order.
-
-        Same ordering/fold contract as the thread backend's
-        :meth:`~ThreadBackend.map_ordered`; the per-batch executor is
-        torn down before returning.
-        """
         task = task_named(name)
         if fold is None:
             fold = list

@@ -11,10 +11,11 @@ a one-shot sweep:
   analysis (:func:`repro.mapping.flow.map_application`) behind a
   content-addressed :class:`EvaluationCache`, so repeated sweeps and
   overlapping multi-application studies never re-analyze the same point;
-* :class:`ParallelExplorer` fans evaluations out over
-  ``concurrent.futures`` workers with deterministic result ordering,
-  optional early exit at the first constraint-satisfying point, and an
-  incrementally maintained Pareto front.
+* :class:`ParallelExplorer` fans evaluations out over an execution
+  backend (:mod:`repro.flow.backend`) as ``dse.evaluate-candidate``
+  tasks, with deterministic result ordering, optional early exit at the
+  first constraint-satisfying point, and an incrementally maintained
+  Pareto front.
 
 Because every point costs one mapping run (sub-second), the whole space
 of the template explores in seconds -- the "very fast design space
@@ -28,6 +29,7 @@ hood.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import threading
@@ -531,8 +533,7 @@ class Evaluator:
             architecture_fingerprint(arch),
             self.constraint,
             self.fixed,
-            f"{effort.name}:{effort.max_buffer_rounds}"
-            f":{effort.max_iterations}",
+            effort.cache_token(),
             strategy=candidate.strategy.cache_token(),
             budgets=self._budget_token(),
         )
@@ -801,8 +802,17 @@ class ExplorationResult:
 
 
 # ----------------------------------------------------------------------
-# the process-shippable evaluation task
+# the evaluation task
 # ----------------------------------------------------------------------
+#: The evaluator of the sweep in progress, set by
+#: :meth:`ParallelExplorer.explore` around its fan-out.  Tasks running in
+#: the explorer's process (the thread backend copies the context into
+#: every call) evaluate through it, so the caller's cache and counts see
+#: every evaluation; worker processes never see it.
+_SWEEP_EVALUATOR: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_dse_sweep_evaluator", default=None
+)
+
 # Worker processes memoize one evaluator per sweep configuration: the
 # config payload rides along with every candidate (workers are
 # stateless across submissions by contract), but only the first
@@ -913,25 +923,28 @@ def _evaluator_from_config(
 
 @backend_task("dse.evaluate-candidate")
 def _evaluate_candidate_task(payload: Dict[str, object]) -> object:
-    """Evaluate one candidate in a worker process.
+    """Evaluate one candidate of a sweep.
 
     Payload: ``config`` (the sweep document of :func:`_sweep_config`),
     ``config_key`` (its digest, the memoization key) and ``candidate``
     (a canonical ``candidate-point`` payload).  Returns the canonical
-    ``evaluation-outcome`` payload.  Each worker keeps a per-process
-    evaluator (and evaluation cache) per config; results are a pure
-    function of the inputs, so the parent's fold is byte-identical to
-    a thread sweep.
+    ``evaluation-outcome`` payload.  In the explorer's process the
+    task evaluates through the caller's evaluator; a worker process
+    keeps its own evaluator (and evaluation cache) per config.  Results
+    are a pure function of the inputs, so the fold is byte-identical
+    wherever the task ran.
     """
     import repro.artifacts.codecs  # noqa: F401  (registers the codecs)
     from repro.artifacts.schema import from_payload, to_payload
 
-    key = payload["config_key"]
-    evaluator = _CHILD_EVALUATORS.get(key)
+    evaluator = _SWEEP_EVALUATOR.get()
     if evaluator is None:
-        evaluator = _evaluator_from_config(payload["config"])
-        _CHILD_EVALUATORS.clear()  # one sweep at a time per worker
-        _CHILD_EVALUATORS[key] = evaluator
+        key = payload["config_key"]
+        evaluator = _CHILD_EVALUATORS.get(key)
+        if evaluator is None:
+            evaluator = _evaluator_from_config(payload["config"])
+            _CHILD_EVALUATORS.clear()  # one sweep at a time per worker
+            _CHILD_EVALUATORS[key] = evaluator
     candidate = from_payload(payload["candidate"])
     return to_payload(evaluator.evaluate(candidate))
 
@@ -942,16 +955,18 @@ def _evaluate_candidate_task(payload: Dict[str, object]) -> object:
 class ParallelExplorer:
     """Sweeps a :class:`DesignSpace` through an :class:`Evaluator`.
 
-    ``jobs > 1`` fans evaluations out over an execution backend
-    (:mod:`repro.flow.backend`); results are collected in enumeration
-    order, so the produced point list -- and therefore the Pareto front
-    and the rendered table -- is byte-identical to a serial sweep.
-    ``backend`` picks where evaluations run: ``"thread"`` (default)
-    shares this process, ``"process"`` ships each candidate as a
-    canonical payload to worker processes -- pure-Python analyses then
-    scale with cores instead of contending on the GIL.  Process workers
-    keep per-process evaluation caches, so the parent's ``cache_stats``
-    only reflect its own (unused) cache.
+    Every candidate is one ``dse.evaluate-candidate`` task on an
+    execution backend (:mod:`repro.flow.backend`), shipped as a
+    canonical payload; results are collected in enumeration order, so
+    the produced point list -- and therefore the Pareto front and the
+    rendered table -- is byte-identical for any ``jobs``.  ``backend``
+    picks only where the tasks run.  Under ``"thread"`` (default) they
+    evaluate through this explorer's evaluator, so its cache,
+    ``cache_stats`` and ``evaluations`` cover the sweep.  Under
+    ``"process"`` pure-Python analyses scale with cores instead of
+    contending on the GIL, but workers keep per-process evaluation
+    caches, so the parent's ``cache_stats`` only reflect its own
+    (unused) cache.
 
     ``early_exit=True`` stops at the first candidate (in enumeration
     order) whose mapping meets the throughput constraint; later
@@ -985,28 +1000,18 @@ class ParallelExplorer:
         front = ParetoFront()
         points: List[DesignPoint] = []
         failures: List[Tuple[str, str]] = []
-        skipped = 0
-        stopped = threading.Event()
-
-        def run(candidate: CandidatePoint) -> Optional[EvaluationOutcome]:
-            if stopped.is_set():
-                return None
-            return self.evaluator.evaluate(candidate)
-
-        fold = lambda outcomes: self._collect(  # noqa: E731
-            candidates, outcomes, points, failures, front,
-            early_exit, stopped,
-        )
-        if self.backend.name == "process":
+        token = _SWEEP_EVALUATOR.set(self.evaluator)
+        try:
             consumed = self.backend.run_tasks_ordered(
                 "dse.evaluate-candidate",
                 self._task_payloads(candidates),
-                fold=lambda payloads: fold(
-                    self._decode_outcomes(payloads)
+                fold=lambda payloads: self._collect(
+                    self._decode_outcomes(payloads),
+                    points, failures, front, early_exit,
                 ),
             )
-        else:
-            consumed = self.backend.map_ordered(run, candidates, fold=fold)
+        finally:
+            _SWEEP_EVALUATOR.reset(token)
         skipped = len(candidates) - consumed
         return ExplorationResult(
             points=points,
@@ -1046,26 +1051,21 @@ class ParallelExplorer:
 
     @staticmethod
     def _collect(
-        candidates: Sequence[CandidatePoint],
-        outcomes: Iterator[Optional[EvaluationOutcome]],
+        outcomes: Iterator[EvaluationOutcome],
         points: List[DesignPoint],
         failures: List[Tuple[str, str]],
         front: ParetoFront,
         early_exit: bool,
-        stopped: threading.Event,
     ) -> int:
         """Fold outcomes, in enumeration order, into the result lists.
         Returns how many candidates were consumed."""
         consumed = 0
-        for candidate, outcome in zip(candidates, outcomes):
-            if outcome is None:  # worker saw the stop flag first
-                break
+        for outcome in outcomes:
             consumed += 1
             if outcome.point is not None:
                 points.append(outcome.point)
                 front.add(outcome.point)
                 if early_exit and outcome.point.constraint_met:
-                    stopped.set()
                     break
             else:
                 failures.append((outcome.label, outcome.reason or ""))

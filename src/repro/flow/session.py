@@ -19,11 +19,11 @@ Workspace layout::
       batch-report.json             last `repro batch` report
 
 :func:`run_batch` executes many specs against one shared workspace,
-fanning sessions out over the same deterministic execution backend
-(:mod:`repro.flow.backend` -- threads or worker processes) plumbing
-the exploration engine uses.  Artifacts are canonical and
-content-keyed, so a concurrent batch
-writes a byte-identical ``artifacts/`` tree to a sequential one (the
+fanning sessions out as ``flow.batch-entry`` tasks over the same
+deterministic execution backend (:mod:`repro.flow.backend` -- threads
+or worker processes) the exploration engine uses.  Artifacts are
+canonical and content-keyed, so a concurrent batch writes a
+byte-identical ``artifacts/`` tree to a sequential one (the
 session and batch reports embed wall-clock timings and necessarily
 differ), and a second batch over the same specs resumes nearly
 everything.
@@ -37,13 +37,15 @@ reports.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
-    Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, \
+    Sequence, Tuple, Union
 
 import repro.artifacts.codecs  # noqa: F401  (registers the codecs)
 from repro.artifacts.schema import (
@@ -79,14 +81,35 @@ COMPUTED = "computed"
 #: Status of a stage satisfied by an existing artifact.
 RESUMED = "resumed"
 
-#: Stage progress observer: called as ``progress("start", stage, None)``
-#: when a stage begins and ``progress("finish", stage, record)`` when it
+#: Stage progress observer: called as ``observer("start", stage, None)``
+#: when a stage begins and ``observer("finish", stage, record)`` when it
 #: completes (``record`` is the finished :class:`StageRecord`, so the
 #: observer sees whether the stage computed or resumed and how long it
 #: took).  Observers run on the session's thread; exceptions propagate
 #: and abort the run.  This is how the flow service reports per-stage
 #: status for in-flight jobs.
 ProgressCallback = Callable[[str, str, Optional["StageRecord"]], None]
+
+_observers: "contextvars.ContextVar[Tuple[ProgressCallback, ...]]" = (
+    contextvars.ContextVar("repro_stage_observers", default=())
+)
+
+
+@contextmanager
+def observe_stages(observer: ProgressCallback) -> Iterator[None]:
+    """Report every stage of the sessions run in this context to
+    ``observer``.
+
+    Observers nest: each one open sees every stage.  Work submitted to
+    a thread backend inside the ``with`` block is observed too (thread
+    workers run in a copy of the submitter's context); a worker process
+    sees no observer.
+    """
+    token = _observers.set(_observers.get() + (observer,))
+    try:
+        yield
+    finally:
+        _observers.reset(token)
 
 
 def _filename_safe(name: str) -> str:
@@ -185,19 +208,12 @@ class FlowSession:
         self,
         workspace: Union[str, Path],
         spec: Union[FlowSpec, str, Path],
-        store: Optional[ArtifactStore] = None,
-        progress: Optional[ProgressCallback] = None,
     ) -> None:
         if not isinstance(spec, FlowSpec):
             spec = load_flow_spec(spec)
         self.spec = spec
         self.workspace = Path(workspace)
-        self.store = (
-            store
-            if store is not None
-            else ArtifactStore(self.workspace / "artifacts")
-        )
-        self.progress = progress
+        self.store = ArtifactStore(self.workspace / "artifacts")
 
     # ------------------------------------------------------------------
     # durable DSE cache sharing the session's workspace
@@ -254,8 +270,7 @@ class FlowSession:
                 arch_fp,
                 constraint,
                 fixed,
-                f"{effort.name}:{effort.max_buffer_rounds}"
-                f":{effort.max_iterations}",
+                effort.cache_token(),
                 strategy=strategy.cache_token(),
             )
             mapping_keys.append(key)
@@ -315,9 +330,12 @@ class FlowSession:
         computed stage and a resumed stage are indistinguishable to the
         caller (functional models, which artifacts do not carry, are
         dropped either way; sessions are analysis-side by design).
+        Every open :func:`observe_stages` observer sees the stage start
+        and finish.
         """
-        if self.progress is not None:
-            self.progress("start", stage, None)
+        observers = _observers.get()
+        for observer in observers:
+            observer("start", stage, None)
         start = time.perf_counter()
         path = self.store.path_for(kind, key)
         payload = self.store.get(kind, key)
@@ -337,8 +355,8 @@ class FlowSession:
             path=str(path.relative_to(self.workspace)),
         )
         result.stages.append(record)
-        if self.progress is not None:
-            self.progress("finish", stage, record)
+        for observer in observers:
+            observer("finish", stage, record)
         return obj
 
     def _app_key(self, app_spec: AppSpec) -> str:
@@ -381,20 +399,18 @@ class FlowSession:
 def execute_spec(
     spec: Union[FlowSpec, str, Path],
     workspace: Union[str, Path],
-    store: Optional[ArtifactStore] = None,
-    progress: Optional[ProgressCallback] = None,
 ) -> SessionResult:
     """Run (or resume) one FlowSpec as a session over ``workspace``.
 
     The single execution entry point shared by ``repro run
     --workspace``, the batch runner and the flow service scheduler
-    (:mod:`repro.service`): parse the spec if needed, run every stage
-    against the workspace's :class:`~repro.artifacts.store.ArtifactStore`
-    (pass ``store`` to share one instance across callers) and report
-    stage-level progress through ``progress``.
+    (:mod:`repro.service`): parse the spec if needed and run every
+    stage against the workspace's
+    :class:`~repro.artifacts.store.ArtifactStore`.  Stage-level
+    progress goes to the :func:`observe_stages` observers open in this
+    context.
     """
-    session = FlowSession(workspace, spec, store=store, progress=progress)
-    return session.run()
+    return FlowSession(workspace, spec).run()
 
 
 # ----------------------------------------------------------------------
@@ -462,64 +478,58 @@ class BatchReport:
         return "\n".join(lines)
 
 
-def _batch_entry(
-    item: Union[FlowSpec, str, Path],
-    workspace: Path,
-    store: Optional[ArtifactStore] = None,
-) -> BatchEntry:
-    """Run one spec of a batch; failures land in the entry."""
-    source = item.name if isinstance(item, FlowSpec) else str(item)
-    begin = time.perf_counter()
-    try:
-        outcome = execute_spec(item, workspace, store=store)
-    except Exception as error:  # noqa: BLE001 - a bad spec must be
-        # reported in its entry, never abort the sibling sessions
-        detail = str(error) if isinstance(error, ReproError) else \
-            f"{type(error).__name__}: {error}"
-        return BatchEntry(
-            spec=source,
-            name=source,
-            ok=False,
-            error=detail,
-            elapsed_seconds=time.perf_counter() - begin,
-        )
-    return BatchEntry(
-        spec=source,
-        name=outcome.spec_name,
-        ok=True,
-        stages_total=len(outcome.stages),
-        stages_resumed=len(outcome.resumed_stages),
-        elapsed_seconds=time.perf_counter() - begin,
-        guarantees={
-            name: str(value)
-            for name, value in sorted(outcome.guarantees().items())
-        },
-        constraints_met=outcome.constraints_met(),
-    )
-
-
 @backend_task("flow.batch-entry")
 def _batch_entry_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-process side of one batch spec.
+    """One spec of a batch; a failure lands in its entry.
 
-    The spec crosses the process boundary as its
+    The spec arrives as its
     :meth:`~repro.flow.spec.FlowSpec.to_document` document (or as the
-    path the caller named); the entry comes back as its canonical
+    path the caller named); the entry goes back as its canonical
     payload.  Artifacts land in the shared workspace -- idempotent
     content-addressed writes, so concurrent workers need no
     coordination.
     """
     if "spec_path" in payload:
         item: Union[FlowSpec, str] = payload["spec_path"]
+        source = item
     else:
         item = FlowSpec.from_dict(payload["document"])
-    entry = _batch_entry(item, Path(payload["workspace"]))
+        source = item.name
+    begin = time.perf_counter()
+    try:
+        outcome = execute_spec(item, payload["workspace"])
+    except Exception as error:  # noqa: BLE001 - a bad spec must be
+        # reported in its entry, never abort the sibling sessions
+        detail = str(error) if isinstance(error, ReproError) else \
+            f"{type(error).__name__}: {error}"
+        entry = BatchEntry(
+            spec=source,
+            name=source,
+            ok=False,
+            error=detail,
+            elapsed_seconds=time.perf_counter() - begin,
+        )
+    else:
+        entry = BatchEntry(
+            spec=source,
+            name=outcome.spec_name,
+            ok=True,
+            stages_total=len(outcome.stages),
+            stages_resumed=len(outcome.resumed_stages),
+            elapsed_seconds=time.perf_counter() - begin,
+            guarantees={
+                name: str(value)
+                for name, value in sorted(outcome.guarantees().items())
+            },
+            constraints_met=outcome.constraints_met(),
+        )
     return to_payload(entry)
 
 
 @backend_task("flow.execute-spec")
 def _execute_spec_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-process side of one ``repro run --workspace`` session."""
+    """One ``repro run --workspace`` session; the result goes back as
+    its canonical payload."""
     spec = FlowSpec.from_dict(payload["document"])
     result = execute_spec(spec, payload["workspace"])
     return to_payload(result)
@@ -532,26 +542,23 @@ def execute_spec_on(
 ) -> SessionResult:
     """Run one spec as a session on an execution backend.
 
-    ``"thread"`` (or ``None``) is :func:`execute_spec` in this
-    process.  ``"process"`` ships the spec document to a worker
-    process and reassembles the :class:`SessionResult` from the
-    returned canonical payload; the artifacts land in the shared
-    workspace either way, byte-identical across backends.  A backend
-    given by name is owned (and closed) here; an
-    :class:`~repro.flow.backend.ExecutionBackend` instance stays the
-    caller's to close.
+    The spec ships as its document to the ``flow.execute-spec`` task
+    and the :class:`SessionResult` is reassembled from the returned
+    canonical payload, wherever the backend runs it (``None`` is the
+    thread backend); the artifacts land in the shared workspace,
+    byte-identical across backends.  A backend given by name is owned
+    (and closed) here; an :class:`~repro.flow.backend.ExecutionBackend`
+    instance stays the caller's to close.
     """
+    if not isinstance(spec, FlowSpec):
+        spec = load_flow_spec(spec)
+    payload = {
+        "document": spec.to_document(),
+        "workspace": str(Path(workspace)),
+    }
     owned = not isinstance(backend, ExecutionBackend)
     engine = as_backend(backend)
     try:
-        if engine.name != "process":
-            return execute_spec(spec, workspace)
-        if not isinstance(spec, FlowSpec):
-            spec = load_flow_spec(spec)
-        payload = {
-            "document": spec.to_document(),
-            "workspace": str(Path(workspace)),
-        }
         future = engine.submit_task("flow.execute-spec", payload)
         return from_payload(future.result())
     finally:
@@ -567,12 +574,12 @@ def run_batch(
 ) -> BatchReport:
     """Run many FlowSpec scenarios against one shared workspace.
 
-    Sessions fan out over an execution backend
+    Every spec is one ``flow.batch-entry`` task on an execution backend
     (:mod:`repro.flow.backend`; ``jobs == 1`` on the default thread
-    backend is strictly serial).  ``backend="process"`` runs each
-    session in a worker process -- pure-Python analyses then scale
-    with cores -- shipping specs as documents and entries as canonical
-    payloads.  All sessions share one workspace; concurrent writers of
+    backend is strictly serial), shipped as its document (or path) with
+    the entry coming back as a canonical payload.
+    ``backend="process"`` runs each session in a worker process, so
+    pure-Python analyses scale with cores.  All sessions share one workspace; concurrent writers of
     the same content-keyed artifact are safe (atomic rename, identical
     canonical bytes), so the workspace is byte-identical however and
     wherever the batch is scheduled.  A failing spec is reported in
@@ -582,40 +589,22 @@ def run_batch(
     if not specs:
         raise ReproError("batch needs at least one flow spec")
     workspace = Path(workspace)
-    store = ArtifactStore(workspace / "artifacts")
     start = time.perf_counter()
-
+    payloads = [
+        {"document": item.to_document(), "workspace": str(workspace)}
+        if isinstance(item, FlowSpec)
+        else {"spec_path": str(item), "workspace": str(workspace)}
+        for item in specs
+    ]
     owned = not isinstance(backend, ExecutionBackend)
     engine = as_backend(backend, jobs)
     try:
-        if engine.name == "process":
-            payloads: List[Dict[str, Any]] = []
-            for item in specs:
-                if isinstance(item, FlowSpec):
-                    payloads.append(
-                        {
-                            "document": item.to_document(),
-                            "workspace": str(workspace),
-                        }
-                    )
-                else:
-                    payloads.append(
-                        {
-                            "spec_path": str(item),
-                            "workspace": str(workspace),
-                        }
-                    )
-            entries = [
-                from_payload(payload)
-                for payload in engine.run_tasks_ordered(
-                    "flow.batch-entry", payloads
-                )
-            ]
-        else:
-            entries = engine.map_ordered(
-                lambda item: _batch_entry(item, workspace, store=store),
-                list(specs),
+        entries = [
+            from_payload(payload)
+            for payload in engine.run_tasks_ordered(
+                "flow.batch-entry", payloads
             )
+        ]
     finally:
         if owned:
             engine.close()

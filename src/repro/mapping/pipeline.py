@@ -137,6 +137,14 @@ class MappingEffort:
                 )
         return effort
 
+    def cache_token(self) -> str:
+        """The effort part of an evaluation cache key.
+
+        The engine tier is absent: it only shows through the name
+        (``+eng<MODE>``), so ``auto`` keys match pre-engine ones.
+        """
+        return f"{self.name}:{self.max_buffer_rounds}:{self.max_iterations}"
+
     def _derived_name(self, max_iterations: int, engine: str) -> str:
         """Canonical derived name ``base[+it<N>][+eng<MODE>]``, eliding
         suffixes that match the base preset / the ``auto`` default."""

@@ -56,7 +56,6 @@ from repro.mapping.flow import MappingEffort, map_application
 from repro.runtime.journal import PlatformJournal
 from repro.runtime.library import (
     _prefix_architecture,
-    effort_token,
     library_key,
 )
 from repro.runtime.points import (
@@ -322,7 +321,7 @@ class PlatformManager:
             application_fingerprint(app),
             dataclasses.asdict(spec.architecture),
             constraint,
-            effort_token(effort),
+            effort.cache_token(),
             spec.strategies.cache_token(),
             fixed=fixed,
         )

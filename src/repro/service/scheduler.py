@@ -18,24 +18,28 @@ thread), which serializes all bookkeeping without locks:
   instantly from the stored ``flow-response`` artifact with zero
   re-analysis -- sequentially, concurrently, or after a server restart
   over a warm workspace.
-* **bounded execution** -- computations run on a persistent
+* **bounded execution** -- each computation is one
+  ``service.compute-response`` task on a persistent
   :class:`~repro.flow.backend.ExecutionBackend` (the same worker
   plumbing :func:`repro.flow.session.run_batch` fans out on) with at
   most ``max_queue`` jobs queued or running; excess submissions are
   rejected with :class:`QueueFullError` (HTTP 429 at the API layer).
-  ``backend="process"`` runs each session in a worker *process* --
-  specs ship as :meth:`~repro.flow.spec.FlowSpec.to_document` JSON,
-  responses come back as canonical payloads, and the pure-Python
-  analyses scale with cores instead of contending on the GIL.  N
+  Specs ship as :meth:`~repro.flow.spec.FlowSpec.to_document` JSON and
+  responses come back as canonical text under either backend;
+  ``backend="process"`` runs the task in a worker *process*, so the
+  pure-Python analyses scale with cores instead of contending on the
+  GIL.  N
   replicas of the scheduler may share one workspace with no
   coordination beyond the filesystem: the store's atomic idempotent
   writes make concurrent computation of the same key safe, and each
   replica carries an identity (``replica`` in health and job views)
   so per-replica counters stay attributable under load.
-* **per-stage progress** -- each job subscribes to the session's
-  :data:`~repro.flow.session.ProgressCallback`, so a status poll of a
-  running job reports which stage is executing and which stages
-  computed vs resumed.
+* **per-stage progress** -- each job observes its session's stages
+  (:func:`~repro.flow.session.observe_stages`), so a status poll of a
+  thread-backed job reports which stage is executing and which stages
+  computed vs resumed.  A worker process cannot stream them; its stage
+  records come back with the result, or with the error of a failed
+  job, and are backfilled into the job view.
 
 The served document, :class:`FlowResponse`, is the *deterministic*
 projection of a session result: the canonical mapping payloads per
@@ -74,7 +78,12 @@ from repro.flow.backend import (
     backend_task,
 )
 from repro.flow.fingerprint import flow_request_key
-from repro.flow.session import SessionResult, StageRecord, execute_spec
+from repro.flow.session import (
+    SessionResult,
+    StageRecord,
+    execute_spec,
+    observe_stages,
+)
 from repro.flow.spec import FlowSpec, load_flow_spec
 from repro.flow.usecases import UseCaseMapping
 from repro.mapping.spec import MappingResult
@@ -189,6 +198,32 @@ register(RESPONSE_KIND, FlowResponse, _encode_response, _decode_response)
 # ----------------------------------------------------------------------
 # jobs
 # ----------------------------------------------------------------------
+class StageLog:
+    """The per-stage entries of one session, as job views show them.
+
+    A :data:`~repro.flow.session.ProgressCallback`: a started stage is
+    ``running`` until its finish records ``computed``/``resumed`` and
+    the seconds it took.
+    """
+
+    def __init__(self) -> None:
+        self.entries: List[Dict[str, Any]] = []
+
+    def __call__(
+        self, event: str, stage: str, record: Optional[StageRecord]
+    ) -> None:
+        if event == "start":
+            self.entries.append(
+                {"stage": stage, "status": RUNNING, "seconds": None}
+            )
+        elif event == "finish" and record is not None:
+            for entry in reversed(self.entries):
+                if entry["stage"] == stage:
+                    entry["status"] = record.status
+                    entry["seconds"] = record.seconds
+                    break
+
+
 class Job:
     """One scheduled flow request and its (possibly shared) outcome.
 
@@ -214,40 +249,31 @@ class Job:
         self._status = QUEUED
         self._source: Optional[str] = None
         self._error: Optional[str] = None
-        self._stages: List[Dict[str, Any]] = []
+        self._stages = StageLog()
         self._payload_text: Optional[str] = None
 
-    # -- session-side: the ProgressCallback of this job's session ------
+    # -- session-side: the observer of this job's session --------------
     def record_progress(
         self, event: str, stage: str, record: Optional[StageRecord]
     ) -> None:
+        """Stream one stage event; the first start marks the job
+        running, so a status poll tells a job waiting for a worker slot
+        (``queued``) from one executing (``running``)."""
         with self._lock:
             if event == "start":
-                self._stages.append(
-                    {"stage": stage, "status": RUNNING, "seconds": None}
-                )
-            elif event == "finish" and record is not None:
-                for entry in reversed(self._stages):
-                    if entry["stage"] == stage:
-                        entry["status"] = record.status
-                        entry["seconds"] = record.seconds
-                        break
+                self._status = RUNNING
+            self._stages(event, stage, record)
 
     def replace_stages(self, entries: List[Dict[str, Any]]) -> None:
-        """Backfill stage records computed in a worker process.
+        """Backfill the stage records the compute task returned.
 
-        A process-backed job cannot stream per-stage progress across
-        the boundary; the worker returns the finished stage list with
-        its result and it lands here in one shot.
+        A job computed in a worker process streamed nothing; its
+        records land here in one shot, on completion and on failure.
         """
         with self._lock:
-            self._stages = [dict(entry) for entry in entries]
+            self._stages.entries = [dict(entry) for entry in entries]
 
     # -- scheduler-side transitions ------------------------------------
-    def mark_running(self) -> None:
-        with self._lock:
-            self._status = RUNNING
-
     def mark_done(self, source: str, payload_text: str) -> None:
         with self._lock:
             self._status = DONE
@@ -261,7 +287,7 @@ class Job:
             self._error = error
             # the stage whose compute raised got a "start" event but no
             # "finish"; a failed job must not report a running stage
-            for entry in self._stages:
+            for entry in self._stages.entries:
                 if entry["status"] == RUNNING:
                     entry["status"] = FAILED
         self.done.set()
@@ -289,7 +315,7 @@ class Job:
                 "error": self._error,
                 "coalesced": coalesced,
                 "replica": self.replica,
-                "stages": [dict(entry) for entry in self._stages],
+                "stages": [dict(entry) for entry in self._stages.entries],
             }
 
 
@@ -300,37 +326,36 @@ SERVICE_COUNTERS = (
 
 
 # ----------------------------------------------------------------------
-# the process-shippable computation
+# the computation
 # ----------------------------------------------------------------------
 @backend_task("service.compute-response")
 def _compute_response_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-process side of one flow computation.
+    """One flow computation.
 
-    The request crosses the boundary as its spec document plus the
-    request key; the worker runs the session against the shared
-    workspace, persists the ``flow-response`` artifact (atomic,
-    idempotent -- concurrent workers and replicas computing the same
-    key write identical bytes) and returns the exact canonical
-    response text plus the finished stage records for the job view.
+    The request arrives as its spec document plus the request key; the
+    task runs the session against the shared workspace, persists the
+    ``flow-response`` artifact (atomic, idempotent -- concurrent
+    workers and replicas computing the same key write identical bytes)
+    and returns the exact canonical response text plus the stage
+    records for the job view.  A raised error carries the records of
+    the stages that ran as ``stages``.
     """
     spec = FlowSpec.from_dict(payload["document"])
     workspace = Path(payload["workspace"])
-    store = ArtifactStore(workspace / "artifacts")
-    result = execute_spec(spec, workspace, store=store)
-    response = FlowResponse.from_session(payload["request_key"], result)
-    document = to_payload(response)
-    store.put(RESPONSE_KIND, payload["request_key"], document)
-    return {
-        "text": canonical_json(document) + "\n",
-        "stages": [
-            {
-                "stage": record.stage,
-                "status": record.status,
-                "seconds": record.seconds,
-            }
-            for record in result.stages
-        ],
-    }
+    log = StageLog()
+    try:
+        with observe_stages(log):
+            result = execute_spec(spec, workspace)
+        response = FlowResponse.from_session(payload["request_key"], result)
+        document = to_payload(response)
+        ArtifactStore(workspace / "artifacts").put(
+            RESPONSE_KIND, payload["request_key"], document
+        )
+    except Exception as error:
+        error.stages = log.entries
+        raise
+    # exactly the stored document: canonical text + trailing newline
+    return {"text": canonical_json(document) + "\n", "stages": log.entries}
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +376,6 @@ class FlowScheduler:
         workspace: Union[str, Path],
         jobs: int = 2,
         max_queue: int = 32,
-        store: Optional[ArtifactStore] = None,
         history_limit: int = 1024,
         backend: Union[None, str, ExecutionBackend] = None,
         replica: Optional[str] = None,
@@ -367,11 +391,7 @@ class FlowScheduler:
                 f"history_limit must be >= 1, got {history_limit}"
             )
         self.workspace = Path(workspace)
-        self.store = (
-            store
-            if store is not None
-            else ArtifactStore(self.workspace / "artifacts")
-        )
+        self.store = ArtifactStore(self.workspace / "artifacts")
         self.max_queue = max_queue
         self.history_limit = history_limit
         #: The execution backend ("pool" is its historic name here):
@@ -565,27 +585,18 @@ class FlowScheduler:
 
     async def _run(self, job: Job) -> None:
         try:
-            if self.pool.name == "process":
-                # the job leaves this process: mark it running at
-                # dispatch (no cross-process progress stream) and
-                # backfill its stage records with the result
-                job.mark_running()
-                outcome = await asyncio.wrap_future(
-                    self.pool.submit_task(
-                        "service.compute-response",
-                        {
-                            "document": job.spec.to_document(),
-                            "workspace": str(self.workspace),
-                            "request_key": job.request_key,
-                        },
-                    )
+            # a thread worker streams the job's stages live (it runs in
+            # a copy of this context); a worker process sees no observer
+            with observe_stages(job.record_progress):
+                future = self.pool.submit_task(
+                    "service.compute-response",
+                    {
+                        "document": job.spec.to_document(),
+                        "workspace": str(self.workspace),
+                        "request_key": job.request_key,
+                    },
                 )
-                job.replace_stages(outcome["stages"])
-                text = outcome["text"]
-            else:
-                text = await asyncio.wrap_future(
-                    self.pool.submit(self._compute, job)
-                )
+            outcome = await asyncio.wrap_future(future)
         except Exception as error:  # noqa: BLE001 - job outcomes are
             # reported through the job, never crash the scheduler loop
             detail = (
@@ -593,10 +604,16 @@ class FlowScheduler:
                 if isinstance(error, ReproError)
                 else f"{type(error).__name__}: {error}"
             )
+            # an error from outside the task (a broken worker pool)
+            # carries no stages: keep whatever streamed live
+            stages = getattr(error, "stages", None)
+            if stages is not None:
+                job.replace_stages(stages)
             job.mark_failed(detail)
             self.counters.inc("failed")
         else:
-            job.mark_done(SOURCE_COMPUTED, text)
+            job.replace_stages(outcome["stages"])
+            job.mark_done(SOURCE_COMPUTED, outcome["text"])
             self.counters.inc("computed")
         finally:
             self._pending -= 1
@@ -662,29 +679,6 @@ class FlowScheduler:
         ]
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-
-    # ------------------------------------------------------------------
-    # worker-side
-    # ------------------------------------------------------------------
-    def _compute(self, job: Job) -> str:
-        """Run the session and persist the response (worker thread).
-
-        The running transition happens here, not at enqueue time, so a
-        status poll distinguishes a job waiting for a worker slot
-        (``queued``) from one actually executing (``running``).
-        """
-        job.mark_running()
-        result = execute_spec(
-            job.spec,
-            self.workspace,
-            store=self.store,
-            progress=job.record_progress,
-        )
-        response = FlowResponse.from_session(job.request_key, result)
-        payload = to_payload(response)
-        self.store.put(RESPONSE_KIND, job.request_key, payload)
-        # exactly the stored document: canonical text + trailing newline
-        return canonical_json(payload) + "\n"
 
     # ------------------------------------------------------------------
     # helpers

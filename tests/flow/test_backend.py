@@ -71,6 +71,16 @@ class TestTaskRegistry:
             {"value": 10}, {}
         )
 
+    def test_run_task_ignores_the_callers_context(self):
+        # a forked worker inherits whatever context forked it; tasks
+        # must see none of it, nor count into its scopes
+        with obs.collect() as outer:
+            result, counted = run_task(
+                "test.count", __name__, {"times": 1}
+            )
+        assert counted == {"test.counted": 1}
+        assert outer["test.counted"] == 0
+
     def test_run_task_returns_the_counts_it_made(self):
         result, counted = run_task("test.count", __name__, {"times": 3})
         assert counted == {"test.counted": 3}
@@ -84,28 +94,39 @@ class TestThreadBackend:
         # the one worker pool: what callers get without naming a backend
         assert type(as_backend(None)) is ThreadBackend
 
-    def test_workers_count_into_the_submitters_scope(self):
-        with ThreadBackend(2) as pool:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_workers_count_into_the_submitters_scope(self, jobs):
+        with ThreadBackend(jobs) as pool:
             with obs.collect() as counted:
                 pool.submit(obs.inc, "test.counted").result()
-                pool.map_ordered(obs.inc, ["test.counted"] * 2)
-        assert counted["test.counted"] == 3
+                pool.submit_task("test.count", {"times": 2}).result()
+                pool.run_tasks_ordered(
+                    "test.count", [{"times": 1}, {"times": 3}]
+                )
+        assert counted["test.counted"] == 7
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             ThreadBackend(0)
 
-    def test_serial_map_preserves_order(self):
-        with ThreadBackend(1) as pool:
-            assert list(pool.map_ordered(lambda x: x * x, [3, 1, 2])) == [
-                9, 1, 4,
-            ]
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_ordered_tasks_preserve_order(self, jobs):
+        with ThreadBackend(jobs) as pool:
+            assert pool.run_tasks_ordered(
+                "test.double", [{"value": v} for v in (3, 1, 2)]
+            ) == [{"value": 6}, {"value": 2}, {"value": 4}]
 
-    def test_parallel_map_preserves_order(self):
-        with ThreadBackend(3) as pool:
-            assert list(
-                pool.map_ordered(lambda x: x + 1, [5, 6, 7])
-            ) == [6, 7, 8]
+    def test_serial_fold_stops_early(self):
+        def first_two(results):
+            return [result for _, result in zip(range(2), results)]
+
+        with obs.collect() as counted:
+            with ThreadBackend(1) as pool:
+                assert pool.run_tasks_ordered(
+                    "test.count", [{"times": 1}] * 5, fold=first_two,
+                ) == [{"pid": os.getpid()}] * 2
+        # the remaining three payloads never ran
+        assert counted["test.counted"] == 2
 
     def test_submit_runs_callables(self):
         with ThreadBackend(2) as pool:
@@ -154,11 +175,6 @@ class TestProcessBackend:
                 ))
         assert counted["test.counted"] == 8
         assert obs.counters()["test.counted"] == before + 8
-
-    def test_map_ordered_refuses_bare_callables(self):
-        with ProcessBackend(1) as pool:
-            with pytest.raises(BackendError, match="registered tasks"):
-                pool.map_ordered(lambda x: x, [1])
 
     def test_submit_runs_locally_for_unpicklable_work(self):
         state = {"hit": False}

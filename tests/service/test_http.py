@@ -63,16 +63,16 @@ class TestFlowEndpoints:
 
     def test_pending_result_answers_202(self, client, service,
                                         monkeypatch):
-        from repro.service.scheduler import FlowScheduler
+        import repro.service.scheduler as scheduler_module
 
         release = threading.Event()
-        original = FlowScheduler._compute
+        original = scheduler_module.execute_spec
 
-        def blocked(self, job):
+        def blocked(*args, **kwargs):
             assert release.wait(timeout=60)
-            return original(self, job)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(FlowScheduler, "_compute", blocked)
+        monkeypatch.setattr(scheduler_module, "execute_spec", blocked)
         view = client.submit(SOLO)
         with pytest.raises(ServiceClientError) as outcome:
             client.result_text(view["id"])

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+import repro.service.scheduler as scheduler_module
 from repro.artifacts import canonical_json, from_payload, to_payload
 from repro.flow.fingerprint import flow_request_key
 from repro.flow.spec import FlowSpec, FlowSpecError
@@ -124,20 +125,80 @@ class TestSubmission:
             scheduler.submit({"nonsense": True})
         assert scheduler.health()["queue_depth"] == 0
 
-    def test_failing_spec_reports_failed_job(self, scheduler):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_failing_spec_reports_failed_job(self, tmp_path, backend):
         bad = dict(SOLO, name="bad",
                    mapping={"fixed": {"VLD": "tile7"}})
-        view = scheduler.submit(bad)
-        view = scheduler.wait(view["id"], timeout=120)
-        assert view["status"] == "failed"
-        assert view["error"]
-        assert scheduler.result_text(view["id"]) is None
-        assert scheduler.counters["failed"] == 1
+        with FlowScheduler(
+            tmp_path / "ws", jobs=2, max_queue=8, backend=backend
+        ) as scheduler:
+            view = scheduler.submit(bad)
+            view = scheduler.wait(view["id"], timeout=120)
+            assert view["status"] == "failed"
+            assert view["error"]
+            assert scheduler.result_text(view["id"]) is None
+            assert scheduler.counters["failed"] == 1
+        # the stages that ran are reported under either backend, and
         # the stage whose compute raised is closed out, not left
         # "running" inside a failed job
-        assert view["stages"]
-        assert all(s["status"] != "running" for s in view["stages"])
-        assert view["stages"][-1]["status"] == "failed"
+        assert [(s["stage"], s["status"]) for s in view["stages"]] == [
+            ("application:gradient", "computed"),
+            ("architecture", "computed"),
+            ("mapping:gradient", "failed"),
+        ]
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_failed_response_write_keeps_the_computed_stages(
+        self, tmp_path, backend, monkeypatch
+    ):
+        from repro.artifacts.schema import ArtifactError
+        from repro.artifacts.store import ArtifactStore
+        from repro.flow.backend import default_start_method
+
+        if backend == "process" and default_start_method() != "fork":
+            pytest.skip("the patched store reaches workers only by fork")
+        original = ArtifactStore.put
+
+        def put(self, kind, key, payload):
+            if kind == RESPONSE_KIND:
+                raise ArtifactError("no space left on device")
+            return original(self, kind, key, payload)
+
+        # patched before the scheduler forks its workers
+        monkeypatch.setattr(ArtifactStore, "put", put)
+        with FlowScheduler(
+            tmp_path / "ws", jobs=2, max_queue=8, backend=backend
+        ) as scheduler:
+            view = scheduler.submit(SOLO)
+            view = scheduler.wait(view["id"], timeout=120)
+        assert view["status"] == "failed"
+        assert "no space left" in view["error"]
+        assert [(s["stage"], s["status"]) for s in view["stages"]] == [
+            ("application:gradient", "computed"),
+            ("architecture", "computed"),
+            ("mapping:gradient", "computed"),
+        ]
+
+    def test_thread_job_streams_every_stage_live(
+        self, scheduler, monkeypatch
+    ):
+        from repro.service.scheduler import Job
+
+        events = []
+        original = Job.record_progress
+
+        def recording(self, event, stage, record):
+            events.append((event, stage, self.done.is_set()))
+            original(self, event, stage, record)
+
+        monkeypatch.setattr(Job, "record_progress", recording)
+        view = submit_done(scheduler, DUO)
+        stages = [s["stage"] for s in view["stages"]]
+        assert len(stages) == 6  # two apps, arch, two mappings, union
+        assert [s for event, s, _ in events if event == "start"] == stages
+        assert [s for event, s, _ in events if event == "finish"] == stages
+        # every event reached the job while it was still in flight
+        assert not any(done for _, _, done in events)
 
     def test_unknown_job_rejected(self, scheduler):
         with pytest.raises(UnknownJobError, match="job-nope"):
@@ -195,13 +256,13 @@ class TestCoalescing:
         release = threading.Event()
 
         with FlowScheduler(tmp_path / "ws", jobs=1, max_queue=1) as s:
-            original = FlowScheduler._compute
+            original = scheduler_module.execute_spec
 
-            def blocked(self, job):
+            def blocked(*args, **kwargs):
                 assert release.wait(timeout=60)
-                return original(self, job)
+                return original(*args, **kwargs)
 
-            monkeypatch.setattr(FlowScheduler, "_compute", blocked)
+            monkeypatch.setattr(scheduler_module, "execute_spec", blocked)
             first = s.submit(SOLO)
             assert first["status"] in ("queued", "running")
             other = dict(SOLO, name="other",
@@ -227,11 +288,11 @@ class TestShutdown:
 
         release = threading.Event()
 
-        def wedged(self, job):
+        def wedged(*args, **kwargs):
             release.wait(timeout=60)
-            return '{"stub": true}\n'
+            raise RuntimeError("abandoned by close()")
 
-        monkeypatch.setattr(FlowScheduler, "_compute", wedged)
+        monkeypatch.setattr(scheduler_module, "execute_spec", wedged)
         scheduler = FlowScheduler(tmp_path / "ws", jobs=1)
         scheduler.submit(SOLO)
         start = time.monotonic()

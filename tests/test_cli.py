@@ -315,6 +315,17 @@ class TestEffortEngineSuffix:
         # canonical derived name: iterations before engine
         assert a.name == "low+it5000+engvectorized"
 
+    def test_cache_token_is_pinned(self):
+        # the effort part of every evaluation, session and library key;
+        # changing it orphans every persisted artifact
+        from repro.mapping.flow import MappingEffort
+
+        assert MappingEffort.of("normal").cache_token() == \
+            "normal:12:10000"
+        assert MappingEffort.of(
+            "low+engvectorized+it5000"
+        ).cache_token() == "low+it5000+engvectorized:4:5000"
+
     def test_with_engine_round_trips(self):
         from repro.mapping.flow import MappingEffort
 
@@ -700,6 +711,15 @@ class TestBackendFlags:
             ["run", "--spec", str(spec), "--backend", "process"]
         ) == 1
         assert "--workspace" in capsys.readouterr().err
+
+    def test_run_has_no_jobs_flag(self, tmp_path, capsys):
+        # one session is one task: there is no worker count to set
+        spec = self.write_spec(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--spec", str(spec), "--workspace",
+                  str(tmp_path / "ws"), "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_run_process_backend_matches_thread_run(self, tmp_path,
                                                     capsys):
