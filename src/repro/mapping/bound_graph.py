@@ -33,6 +33,7 @@ from repro.exceptions import MappingError
 from repro.mapping.spec import ChannelMapping
 from repro.sdf.buffers import BUFFER_EDGE_PREFIX
 from repro.sdf.graph import SDFGraph
+from repro.sdf.repetition import repetition_vector
 
 
 def ca_resource_name(tile: str) -> str:
@@ -62,6 +63,20 @@ class BoundGraph:
     processor_of: Dict[str, str]
     app_actors: Tuple[str, ...]
     comm_names: Dict[str, CommActorNames] = field(default_factory=dict)
+    _repetition: Optional[Dict[str, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def repetition_vector(self) -> Dict[str, int]:
+        """The graph's repetition vector, solved once and then shared.
+
+        Buffer growth (:func:`apply_buffer_capacities`) changes initial
+        tokens only, never rates, so the vector holds for the bound
+        graph's whole life.  Callers must not mutate the returned dict.
+        """
+        if self._repetition is None:
+            self._repetition = repetition_vector(self.graph)
+        return self._repetition
 
     def app_actors_on(self, tile: str) -> Tuple[str, ...]:
         return tuple(

@@ -134,8 +134,27 @@ def binding_cost(
     ``binding`` maps already-placed actors to tiles; ``load`` and
     ``memory_used`` track per-tile cycles-per-iteration and bytes.
     """
+    return _binding_cost(
+        app, arch, repetition_vector(app.graph), actor, tile_name,
+        pe_type, binding, load, memory_used, weights,
+    )
+
+
+def _binding_cost(
+    app: ApplicationModel,
+    arch: ArchitectureModel,
+    q: Dict[str, int],
+    actor: str,
+    tile_name: str,
+    pe_type: str,
+    binding: Dict[str, str],
+    load: Dict[str, int],
+    memory_used: Dict[str, int],
+    weights: Optional[CostWeights] = None,
+) -> float:
+    """:func:`binding_cost` for a caller that holds the app's repetition
+    vector ``q`` (the binder scores every (actor, tile) pair with it)."""
     w = weights or CostWeights()
-    q = repetition_vector(app.graph)
     return (
         w.processing
         * _processing_term(app, q, actor, tile_name, pe_type, load)

@@ -986,7 +986,8 @@ class MappingPipeline:
         # (apply_buffer_capacities) instead of re-expanding every channel.
         # The state-space analyzer is likewise reused across rounds as
         # long as the derived static orders are unchanged -- its simulator
-        # re-reads initial tokens on reset.
+        # re-reads initial tokens on reset -- and the bound graph's
+        # repetition vector, which depends on rates only, is solved once.
         bound = None
         analyzer = None
         analyzer_orders = None
@@ -1008,6 +1009,7 @@ class MappingPipeline:
                         reference_actor=bound.app_actors[0],
                         max_iterations=max_iterations,
                         mode=budget.engine,
+                        repetition=bound.repetition_vector(),
                     )
                     analyzer_orders = orders
                 result = analyzer.analyze()

@@ -2,12 +2,20 @@
 
 MAMPS tiles run a static-order scheduler -- "a lookup table" (Section 6.3).
 The orders are derived the SDF3 way: execute the bound graph self-timed
-under the resource binding (greedy, no orders yet) for one iteration and
-record, per tile, the order in which application actors start.  List
-scheduling via simulation inherits all data dependencies, so the recorded
-order is guaranteed executable; fixing it afterwards can only delay firings
+under the resource binding (greedy, no orders yet) until every application
+actor has started as often as one iteration needs, and record, per tile,
+the order in which application actors start.  List scheduling via
+simulation inherits all data dependencies, so the recorded order is
+guaranteed executable; fixing it afterwards can only delay firings
 relative to the greedy run, and the subsequent throughput analysis of the
 ordered graph provides the actual guarantee.
+
+The run is :func:`repro.sdf.engine.greedy_start_order`: the vectorized
+core counts down the actors still short of their starts and records only
+those starts -- no trace, no per-step predicate.  Firings still running
+when the run stops form each tile's tail, listed per actor in
+application-actor order; that is their start order unless two or more
+zero-time firings are in flight on one tile.
 """
 
 from __future__ import annotations
@@ -16,9 +24,7 @@ from typing import Dict, List
 
 from repro.exceptions import DeadlockError, MappingError
 from repro.mapping.bound_graph import BoundGraph
-from repro.sdf.engine import build_simulator
-from repro.sdf.repetition import repetition_vector
-from repro.sdf.simulation import SelfTimedSimulator
+from repro.sdf.engine import greedy_start_order
 
 
 def build_static_orders(bound: BoundGraph) -> Dict[str, List[str]]:
@@ -30,25 +36,15 @@ def build_static_orders(bound: BoundGraph) -> Dict[str, List[str]]:
     iteration (usually: buffers too small), so the flow can grow buffers
     and retry.
     """
-    q = repetition_vector(bound.graph)
-    sim = build_simulator(
-        bound.graph,
-        processor_of=bound.processor_of,
-        record_trace=True,
-    )
-
+    q = bound.repetition_vector()
     targets = {a: q[a] for a in bound.app_actors}
-
-    def one_iteration_started(s: SelfTimedSimulator) -> bool:
-        # started_of is O(1); this predicate runs after every step.
-        return all(s.started_of(a) >= n for a, n in targets.items())
-
-    total_needed = sum(q.values()) * 3  # generous safety bound
-    sim.run(
-        stop_when=one_iteration_started,
-        max_firings=max(total_needed, 100_000),
+    starts = greedy_start_order(
+        bound.graph,
+        bound.processor_of,
+        targets,
+        max_firings=max(sum(q.values()) * 3, 100_000),  # generous bound
     )
-    if not one_iteration_started(sim):
+    if starts is None:
         raise DeadlockError(
             f"greedy execution of {bound.graph.name!r} could not complete "
             "one iteration while deriving static orders; buffer capacities "
@@ -56,22 +52,15 @@ def build_static_orders(bound: BoundGraph) -> Dict[str, List[str]]:
         )
 
     orders: Dict[str, List[str]] = {tile: [] for tile in bound.tiles()}
-    counted: Dict[str, int] = {a: 0 for a in bound.app_actors}
-    for firing in sorted(sim.trace.firings, key=lambda f: (f.start, f.end)):
-        actor = firing.actor
-        if actor not in targets:
-            continue
-        if counted[actor] >= targets[actor]:
-            continue
-        counted[actor] += 1
-        orders[bound.processor_of[actor]].append(actor)
-
-    # Started-but-unfinished firings do not appear in the trace; append
-    # them in deterministic actor order (they are the iteration's tail).
-    for actor, needed in targets.items():
-        while counted[actor] < needed:
-            counted[actor] += 1
+    unfinished: Dict[str, int] = {a: 0 for a in bound.app_actors}
+    for actor, finished in starts:
+        if finished:
             orders[bound.processor_of[actor]].append(actor)
+        else:
+            unfinished[actor] += 1
+    # The iteration's tail: starts still in flight, in actor order.
+    for actor, count in unfinished.items():
+        orders[bound.processor_of[actor]].extend([actor] * count)
 
     for tile, order in orders.items():
         expected = sum(q[a] for a in bound.app_actors_on(tile))

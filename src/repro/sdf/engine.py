@@ -46,11 +46,14 @@ and the fallback reason are recorded in the
 raises :class:`EngineUnsupportedError` rather than silently
 degrading.
 
-Consumers that need raw *stepping* (static-order derivation, the
-platform simulator, latency scans) obtain their simulator through
-:func:`build_simulator`, keeping this module the single construction
-point of the analysis stack -- CI forbids direct
-``SelfTimedSimulator(...)`` calls outside :mod:`repro.sdf`.
+Consumers that need raw *stepping* (the platform simulator, latency
+scans) obtain their simulator through :func:`build_simulator`, keeping
+this module the single construction point of the analysis stack -- CI
+forbids direct ``SelfTimedSimulator(...)`` calls outside
+:mod:`repro.sdf`.  Static-order derivation needs only the first starts
+of one greedy run: :func:`greedy_start_order` runs it natively on the
+vectorized core (a start countdown, no trace, no per-step predicate),
+on a path :meth:`_VectorizedCore.run_throughput` does not share.
 
 Every analysis counts ``engine.<tier>`` in :mod:`repro.obs`: the
 process-wide counters surface in ``GET /v1/healthz``, a
@@ -142,10 +145,10 @@ def build_simulator(
     """Construct the full-featured self-timed simulator.
 
     The one sanctioned way to obtain a stepping/tracing/hooked simulator
-    outside :mod:`repro.sdf` (static-order derivation, the platform
-    simulator, latency scans).  Throughput-only callers should use
-    :class:`ThroughputEngine` instead, which picks a cheaper tier when
-    it can.
+    outside :mod:`repro.sdf` (the platform simulator, latency scans).
+    Throughput-only callers should use :class:`ThroughputEngine`
+    instead, which picks a cheaper tier when it can; static-order
+    derivation uses :func:`greedy_start_order`.
     """
     return SelfTimedSimulator(
         graph,
@@ -156,6 +159,43 @@ def build_simulator(
         on_finish=on_finish,
         record_trace=record_trace,
     )
+
+
+def greedy_start_order(
+    graph: SDFGraph,
+    processor_of: Dict[str, str],
+    quota: Dict[str, int],
+    max_firings: int,
+) -> Optional[List[Tuple[str, bool]]]:
+    """The first starts of a greedy self-timed run under a binding.
+
+    Runs ``graph`` self-timed (auto-concurrency 1, actors bound by
+    ``processor_of``, no static orders) until every actor of ``quota``
+    has started ``quota[a]`` times, and returns exactly those starts in
+    start order as ``(actor, finished)`` pairs; ``finished`` tells
+    whether the firing completed before the run stopped.  Returns None
+    when the run quiesced or completed ``max_firings`` firings first.
+    This is the list-scheduling run behind static-order derivation
+    (:mod:`repro.mapping.scheduling`), on the vectorized core.
+    """
+    core = _VectorizedCore(graph, processor_of=processor_of)
+    names = core._actor_names
+    counts = [0] * len(names)
+    for actor, n in quota.items():
+        counts[core._actor_index[actor]] = n
+    recorded = core.run_start_order(counts, max_firings)
+    if recorded is None:
+        return None
+    # An actor's firings complete in start order, so its k-th start has
+    # finished iff more than k of its firings completed.
+    completed = core._completed
+    seen = [0] * len(names)
+    starts: List[Tuple[str, bool]] = []
+    for idx in recorded:
+        k = seen[idx]
+        seen[idx] = k + 1
+        starts.append((names[idx], k < completed[idx]))
+    return starts
 
 
 def normalize_engine_mode(mode: str) -> str:
@@ -172,7 +212,8 @@ def normalize_engine_mode(mode: str) -> str:
 # the vectorized tier
 # ----------------------------------------------------------------------
 class _VectorizedCore(SelfTimedSimulator):
-    """Array-of-ints state-space core for throughput detection only.
+    """Array-of-ints state-space core for throughput detection and
+    static-order derivation.
 
     Inherits the integer-indexed adjacency and the dirty-set engine of
     :class:`SelfTimedSimulator` but replaces the per-event path with
@@ -330,6 +371,118 @@ class _VectorizedCore(SelfTimedSimulator):
             "analyzing"
         )
 
+    def run_start_order(
+        self, quota: Sequence[int], max_firings: int
+    ) -> Optional[List[int]]:
+        """Greedy run until every actor started ``quota[i]`` times.
+
+        Records the first ``quota[i]`` starts of each actor (actor
+        indices, in start order) and nothing else.  The stop rule is
+        that of :meth:`SelfTimedSimulator.run` with a ``stop_when``
+        bound: checked after each completion batch and the starts it
+        enables; the run gives up when nothing is in flight or once
+        ``max_firings`` firings completed.  Returns None when the quota
+        was not met.  Readiness test, start and finish are inlined --
+        this is the static-order derivation hot loop -- and follow the
+        start order of :meth:`_start_all_ready_fast` exactly.  Only
+        greedy processors are supported: the run exists to *derive*
+        static orders.
+        """
+        if self._static_proc_ids or self._seq:
+            raise SimulationError(
+                "a start-order run derives static orders: it needs a "
+                "fresh or reset simulator without any"
+            )
+        tokens = self._tokens
+        in_rates = self._in_rates
+        out_rates = self._out_rates
+        consumer_of = self._consumer_of
+        cap = self._cap
+        exec_time = self._exec_time
+        ongoing = self._ongoing
+        started = self._started
+        completed = self._completed
+        proc_of = self._proc_of
+        proc_busy = self._proc_busy
+        proc_members = self._proc_members
+        actor_dirty = self._actor_dirty
+        queue = self._queue
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        seq = self._seq
+        now = self.now
+        recorded: List[int] = []
+        # Countdown of actors still short of their quota of starts.
+        short = sum(1 for n in quota if n > 0)
+        # Completed firings; every batch completes at least one, so a
+        # nonzero count also means the stop rule is due.
+        total = 0
+        dirty_actors = self._dirty_actors
+        while True:
+            # Start every ready dirty actor, in graph insertion order.
+            if dirty_actors:
+                if len(dirty_actors) > 1:
+                    dirty_actors.sort()
+                for idx in dirty_actors:
+                    actor_dirty[idx] = False
+                    pid = proc_of[idx]
+                    limit = cap[idx]
+                    rates = in_rates[idx]
+                    while pid < 0 or proc_busy[pid] <= now:
+                        if limit is not None and ongoing[idx] >= limit:
+                            break
+                        for e, c in rates:
+                            if tokens[e] < c:
+                                break
+                        else:
+                            for e, c in rates:
+                                tokens[e] -= c
+                            end = now + exec_time[idx]
+                            n = started[idx]
+                            started[idx] = n + 1
+                            ongoing[idx] += 1
+                            heappush(queue, (end, seq, idx, now))
+                            seq += 1
+                            if pid >= 0:
+                                proc_busy[pid] = end
+                            if n < quota[idx]:
+                                recorded.append(idx)
+                                if n + 1 == quota[idx]:
+                                    short -= 1
+                            continue
+                        break
+                dirty_actors = []
+            if total and (total >= max_firings or not short):
+                break
+            if not queue:
+                break
+            # Finish the next completion batch; mark what it may enable.
+            now = queue[0][0]
+            while queue and queue[0][0] == now:
+                idx = heappop(queue)[2]
+                for e, p in out_rates[idx]:
+                    tokens[e] += p
+                    consumer = consumer_of[e]
+                    if not actor_dirty[consumer]:
+                        actor_dirty[consumer] = True
+                        dirty_actors.append(consumer)
+                ongoing[idx] -= 1
+                completed[idx] += 1
+                total += 1
+                if not actor_dirty[idx]:
+                    actor_dirty[idx] = True
+                    dirty_actors.append(idx)
+                pid = proc_of[idx]
+                if pid >= 0:
+                    for member in proc_members[pid]:
+                        if not actor_dirty[member]:
+                            actor_dirty[member] = True
+                            dirty_actors.append(member)
+        self._dirty_actors = dirty_actors
+        self._seq = seq
+        self.now = now
+        return None if short else recorded
+
 
 # ----------------------------------------------------------------------
 # the facade
@@ -372,7 +525,9 @@ class ThroughputEngine:
     re-expands from the live edge objects).
 
     Parameters mirror :func:`repro.sdf.throughput.analyze_throughput`
-    plus ``mode``, one of :data:`ENGINE_MODES`.
+    plus ``mode``, one of :data:`ENGINE_MODES`, and ``repetition``, the
+    graph's repetition vector when the caller already holds it (it
+    depends on rates only, so token mutation never stales it).
     """
 
     def __init__(
@@ -384,6 +539,7 @@ class ThroughputEngine:
         reference_actor: Optional[str] = None,
         max_iterations: int = 10_000,
         mode: str = "auto",
+        repetition: Optional[Dict[str, int]] = None,
     ) -> None:
         self.mode = normalize_engine_mode(mode)
         validate_graph(graph)
@@ -393,7 +549,10 @@ class ThroughputEngine:
         self._processor_of = processor_of
         self._static_order = static_order
         self._reference_actor = reference_actor
-        self._q = repetition_vector(graph)
+        self._q = (
+            repetition if repetition is not None
+            else repetition_vector(graph)
+        )
         self._hsdf_units = 0  # set by the eligibility check below
         self._decline = self._analytic_decline_reason()
         self._vector_sim: Optional[_VectorizedCore] = None

@@ -40,10 +40,14 @@ def run_first_iteration(
     max_firings: int,
 ) -> int:
     """Drive ``sim`` (fresh or reset) to the end of the first iteration."""
+    # Actors still short of q[a] completions.  Counts only grow, so an
+    # actor leaves for good and each check is amortised O(1).
+    pending = [a.name for a in graph]
 
     def iteration_done(s: SelfTimedSimulator) -> bool:
-        completed = s.completed
-        return all(completed[a] >= q[a] for a in completed)
+        while pending and s.completed_of(pending[-1]) >= q[pending[-1]]:
+            pending.pop()
+        return not pending
 
     sim.run(stop_when=iteration_done, max_firings=max_firings)
     if not iteration_done(sim):

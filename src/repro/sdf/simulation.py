@@ -613,15 +613,16 @@ class SelfTimedSimulator:
                 "run() needs max_time, max_firings or stop_when; self-timed "
                 "execution of a live graph never quiesces on its own"
             )
+        # Running total: step() is the only completer, one per entry.
+        completed = sum(self._completed)
         while True:
             finished = self.step()
             if not finished:
                 return self._finalize_trace()
+            completed += len(finished)
             if max_time is not None and self.now >= max_time:
                 return self._finalize_trace()
-            if max_firings is not None and (
-                sum(self._completed) >= max_firings
-            ):
+            if max_firings is not None and completed >= max_firings:
                 return self._finalize_trace()
             if stop_when is not None and stop_when(self):
                 return self._finalize_trace()
