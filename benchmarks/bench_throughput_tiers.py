@@ -142,19 +142,18 @@ def _fig6_sweep(workloads):
         auto = ThroughputEngine(bound.graph, **kwargs)
         reference = ThroughputEngine(bound.graph, mode="reference",
                                      **kwargs)
-        tier, reason = auto.tier_for()
         fast_s, fast = _best_of(auto.analyze)
         slow_s, slow = _best_of(reference.analyze)
         assert fast == slow, (
-            f"{figure}: {tier} tier diverged from the reference "
+            f"{figure}: {fast.tier} tier diverged from the reference "
             f"({fast} vs {slow})"
         )
         records[figure] = {
             "interconnect": interconnect,
             "actors": len(bound.graph),
             "edges": len(bound.graph.edges),
-            "tier": tier,
-            "fallback_reason": reason,
+            "tier": fast.tier,
+            "fallback_reason": fast.tier_reason,
             "throughput": str(fast.throughput),
             "tier_s": fast_s,
             "reference_s": slow_s,
@@ -251,7 +250,7 @@ def _sizing_calls():
         "greedy_calls": greedy_calls,
         "monotone_calls": monotone_calls,
         "total_tokens": sum(distribution.capacities.values()),
-        "tiers": tiers.snapshot(),
+        "tiers": counted.snapshot("engine"),
     }
 
 

@@ -74,7 +74,6 @@ from typing import List, Optional
 from repro.arch import architecture_from_template
 from repro.exceptions import ReproError
 from repro.sdf import (
-    ENGINE_MODES,
     analyze_throughput,
     is_deadlock_free,
     repetition_vector,
@@ -87,7 +86,6 @@ def _map_template(
     tiles: int,
     interconnect: str,
     max_iterations: Optional[int] = None,
-    engine: str = "auto",
 ):
     """Map a bare graph onto a template platform.
 
@@ -135,10 +133,7 @@ def _map_template(
         ],
     )
     arch = architecture_from_template(tiles, interconnect)
-    effort = "normal" if engine == "auto" else f"normal+eng{engine}"
-    result = map_application(
-        app, arch, max_iterations=max_iterations, effort=effort
-    )
+    result = map_application(app, arch, max_iterations=max_iterations)
     return app, arch, result
 
 
@@ -188,8 +183,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         else {"max_iterations": args.max_iterations}
     )
     result = (
-        analyze_throughput(graph, engine=args.engine, **throughput_kwargs)
-        if live else None
+        analyze_throughput(graph, **throughput_kwargs) if live else None
     )
 
     model, power_budget, energy_budget = _power_model(args)
@@ -200,7 +194,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             mapped = _map_template(
                 graph, args.tiles, args.interconnect,
                 max_iterations=args.max_iterations,
-                engine=args.engine,
             )
         except ReproError as error:
             mapping_error = error
@@ -421,10 +414,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         # Derived effort preset: same retry budget, overridden state-space
         # iteration budget; survives the name-typed candidate plumbing.
         effort = f"{effort}+it{args.max_iterations}"
-    if args.engine != "auto":
-        # Engine pin rides the effort name the same way (and therefore
-        # lands in evaluation/cache keys; 'auto' keeps keys unchanged).
-        effort = f"{effort}+eng{args.engine}"
     power_model, power_budget, energy_budget = _power_model(args)
     app = _load_case_study(args.sequence)
     mixes = (UNIFORM_MIX, COMPACT_MIX) if args.heterogeneous \
@@ -741,14 +730,6 @@ def _shared_flags():
             help="path to the scenario document (TOML or JSON; see "
                  "docs/mapping.md)",
         ),
-        "--engine": dict(
-            choices=ENGINE_MODES, default="auto",
-            help="throughput engine tier: 'auto' picks the analytic "
-                 "max-cycle-mean fast path when the graph allows it and "
-                 "falls back to the vectorized simulation core; pin a "
-                 "tier to force it (forcing 'analytic' fails on graphs "
-                 "it cannot model)",
-        ),
         "--max-iterations": dict(
             type=int, default=None, metavar="N",
             help="state-space iteration budget of the throughput "
@@ -793,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", help="analyze an SDF3-style XML graph"
     )
     analyze.add_argument("graph", help="path to the graph XML file")
-    add(analyze, "--json", "--interconnect", "--max-iterations", "--engine",
+    add(analyze, "--json", "--interconnect", "--max-iterations",
         json=dict(help="emit analysis plus a template-platform mapping "
                        "result (binding, buffer capacities, throughput "
                        "guarantee) as JSON"))
@@ -1056,8 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument("sequence", nargs="?", default="gradient")
     explore.add_argument("--max-tiles", type=int, default=5)
-    add(explore, "--jobs", "--backend", "--max-iterations", "--engine",
-        "--json",
+    add(explore, "--jobs", "--backend", "--max-iterations", "--json",
         json=dict(help="emit the canonical exploration-result artifact "
                        "payload (see docs/artifacts.md)"))
     explore.add_argument(

@@ -61,7 +61,7 @@ from repro.mapping.costs import CostWeights
 from repro.mapping.routing import route_channels
 from repro.mapping.scheduling import build_static_orders
 from repro.mapping.spec import ChannelMapping, Mapping, MappingResult
-from repro.sdf.engine import ThroughputEngine, normalize_engine_mode
+from repro.sdf.engine import ThroughputEngine
 from repro.sdf.repetition import repetition_vector
 
 
@@ -76,16 +76,12 @@ class MappingEffort:
     needs a quick feasibility verdict on; the final chosen point deserves
     the full retry budget.  An effort level bundles the knobs that
     trade mapping quality for wall-clock time: the number of buffer-growth
-    rounds, the state-space budget of the throughput analysis, and the
-    throughput-engine tier policy (:data:`repro.sdf.engine.ENGINE_MODES`;
-    ``auto`` lets the engine pick per graph and keeps the effort name --
-    and therefore every derived cache key -- unchanged).
+    rounds and the state-space budget of the throughput analysis.
     """
 
     name: str
     max_buffer_rounds: int
     max_iterations: int
-    engine: str = "auto"
 
     @classmethod
     def of(cls, level: Union[str, "MappingEffort"]) -> "MappingEffort":
@@ -94,9 +90,7 @@ class MappingEffort:
         A ``+it<N>`` suffix (e.g. ``"normal+it50000"``) derives a preset
         with the state-space iteration budget overridden to ``N`` -- the
         string form the CLI's ``--max-iterations`` plumbs through the
-        exploration engine, whose candidates carry effort by name.  A
-        ``+eng<MODE>`` suffix pins the throughput-engine tier the same
-        way (the CLI's ``--engine``); suffixes combine in either order.
+        exploration engine, whose candidates carry effort by name.
         """
         if isinstance(level, MappingEffort):
             return level
@@ -107,62 +101,36 @@ class MappingEffort:
             raise ValueError(
                 f"unknown mapping effort {level!r}; pick from "
                 f"{sorted(EFFORT_LEVELS)} (optionally suffixed with "
-                "'+it<N>' to override the analysis iteration budget "
-                "and/or '+eng<MODE>' to pin the throughput engine)"
+                "'+it<N>' to override the analysis iteration budget)"
             ) from None
         for token in suffixes:
-            if token.startswith("it"):
-                try:
-                    iterations = int(token[2:])
-                except ValueError:
-                    raise ValueError(
-                        f"invalid iteration override in mapping effort "
-                        f"{level!r}; expected '+it<N>' with a positive "
-                        "integer N"
-                    ) from None
-                effort = effort.with_iterations(iterations)
-            elif token.startswith("eng"):
-                try:
-                    effort = effort.with_engine(token[3:])
-                except ValueError:
-                    raise ValueError(
-                        f"invalid engine override in mapping effort "
-                        f"{level!r}; expected '+eng<MODE>' with MODE one "
-                        "of auto, analytic, vectorized, reference"
-                    ) from None
-            else:
+            if not token.startswith("it"):
                 raise ValueError(
                     f"unknown suffix {token!r} in mapping effort "
-                    f"{level!r}; expected '+it<N>' or '+eng<MODE>'"
+                    f"{level!r}; the only suffix is '+it<N>'"
                 )
+            try:
+                iterations = int(token[2:])
+            except ValueError:
+                raise ValueError(
+                    f"invalid iteration override in mapping effort "
+                    f"{level!r}; expected '+it<N>' with a positive "
+                    "integer N"
+                ) from None
+            effort = effort.with_iterations(iterations)
         return effort
 
     def cache_token(self) -> str:
-        """The effort part of an evaluation cache key.
-
-        The engine tier is absent: it only shows through the name
-        (``+eng<MODE>``), so ``auto`` keys match pre-engine ones.
-        """
+        """The effort part of an evaluation cache key."""
         return f"{self.name}:{self.max_buffer_rounds}:{self.max_iterations}"
-
-    def _derived_name(self, max_iterations: int, engine: str) -> str:
-        """Canonical derived name ``base[+it<N>][+eng<MODE>]``, eliding
-        suffixes that match the base preset / the ``auto`` default."""
-        base_name = self.name.split("+", 1)[0]
-        base = EFFORT_LEVELS.get(base_name)
-        name = base_name
-        if base is None or base.max_iterations != max_iterations:
-            name += f"+it{max_iterations}"
-        if engine != "auto":
-            name += f"+eng{engine}"
-        return name
 
     def with_iterations(self, max_iterations: int) -> "MappingEffort":
         """Same preset with a different state-space iteration budget.
 
-        The derived name round-trips through :meth:`of`, so the override
-        survives string-typed plumbing (CLI, design-space candidates,
-        cache keys).
+        The derived name ``base[+it<N>]`` (the suffix elided when ``N``
+        is the base preset's budget) round-trips through :meth:`of`, so
+        the override survives string-typed plumbing (CLI, design-space
+        candidates, cache keys).
         """
         if max_iterations < 1:
             raise ValueError(
@@ -170,28 +138,15 @@ class MappingEffort:
             )
         if max_iterations == self.max_iterations:
             return self
+        base_name = self.name.split("+", 1)[0]
+        base = EFFORT_LEVELS.get(base_name)
+        name = base_name
+        if base is None or base.max_iterations != max_iterations:
+            name += f"+it{max_iterations}"
         return MappingEffort(
-            name=self._derived_name(max_iterations, self.engine),
+            name=name,
             max_buffer_rounds=self.max_buffer_rounds,
             max_iterations=max_iterations,
-            engine=self.engine,
-        )
-
-    def with_engine(self, engine: str) -> "MappingEffort":
-        """Same preset with the throughput-engine tier pinned.
-
-        ``auto`` (the default) keeps the name unchanged, so cache keys
-        derived from the effort name stay byte-identical; other modes
-        append ``+eng<MODE>`` and round-trip through :meth:`of`.
-        """
-        engine = normalize_engine_mode(engine)
-        if engine == self.engine:
-            return self
-        return MappingEffort(
-            name=self._derived_name(self.max_iterations, engine),
-            max_buffer_rounds=self.max_buffer_rounds,
-            max_iterations=self.max_iterations,
-            engine=engine,
         )
 
 
@@ -1008,7 +963,6 @@ class MappingPipeline:
                         static_order=orders,
                         reference_actor=bound.app_actors[0],
                         max_iterations=max_iterations,
-                        mode=budget.engine,
                         repetition=bound.repetition_vector(),
                     )
                     analyzer_orders = orders

@@ -55,6 +55,11 @@ of one greedy run: :func:`greedy_start_order` runs it natively on the
 vectorized core (a start countdown, no trace, no per-step predicate),
 on a path :meth:`_VectorizedCore.run_throughput` does not share.
 
+Liveness comes from the run: :func:`~repro.sdf.deadlock.deadlock_report`
+runs only when a simulated run fails (to tell a dead graph's symptom from
+a live graph's own error) and before the analytic tier, which cannot see
+a deadlock; see :meth:`ThroughputEngine.analyze`.
+
 Every analysis counts ``engine.<tier>`` in :mod:`repro.obs`: the
 process-wide counters surface in ``GET /v1/healthz``, a
 :func:`repro.obs.collect` scope in
@@ -69,7 +74,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.exceptions import DeadlockError, SimulationError
+from repro.exceptions import DeadlockError, ReproError, SimulationError
 from repro.sdf.deadlock import deadlock_report
 from repro.sdf.graph import SDFGraph, validate_graph
 from repro.sdf.hsdf import to_hsdf
@@ -124,7 +129,7 @@ MCM_RELAXATION_FACTOR = 512
 class EngineUnsupportedError(SimulationError):
     """A pinned engine mode cannot analyze this graph exactly.
 
-    Raised only for forced modes (``--engine analytic`` on a graph whose
+    Raised only for forced modes (``mode="analytic"`` on a graph whose
     constraints the HSDF transform cannot express); ``auto`` never
     raises this -- it falls back and records the reason instead.
     """
@@ -553,12 +558,12 @@ class ThroughputEngine:
             repetition if repetition is not None
             else repetition_vector(graph)
         )
+        self._strongly_connected = _is_strongly_connected(graph)
         self._hsdf_units = 0  # set by the eligibility check below
         self._decline = self._analytic_decline_reason()
         self._vector_sim: Optional[_VectorizedCore] = None
         self._vector_ref: Optional[Tuple[int, int]] = None
         self._analyzer: Optional[ThroughputAnalyzer] = None
-        self._trace_sim: Optional[SelfTimedSimulator] = None
 
     # -- tier policy ---------------------------------------------------
     def _analytic_decline_reason(self) -> Optional[str]:
@@ -591,7 +596,7 @@ class ThroughputEngine:
                         f"binding serializes actor {actor!r} below its "
                         "concurrency cap"
                     )
-        if not _is_strongly_connected(self.graph):
+        if not self._strongly_connected:
             return (
                 "graph is not strongly connected; channels without "
                 "feedback diverge under self-timed execution"
@@ -627,71 +632,60 @@ class ThroughputEngine:
         """Why ``auto`` will not use the analytic tier (None: it will)."""
         return self._decline
 
-    def tier_for(self) -> Tuple[str, Optional[str]]:
-        """Static tier policy, with the fallback reason.
-
-        For ``auto`` this is the tier *on the menu* before the adaptive
-        probe runs: ``("analytic", None)`` means the analytic tier is
-        eligible and :meth:`analyze` will escalate to it whenever the
-        state space outlives the work-scaled probe (see
-        :data:`PROBE_WORK_FACTOR`); ``("vectorized", reason)`` means
-        analytic is structurally off.
-        The tier that actually produced a result is on
-        ``ThroughputResult.tier``.
-        """
-        if self.mode == "auto":
-            if self._decline is None:
-                return "analytic", None
-            return "vectorized", self._decline
-        return self.mode, f"engine mode {self.mode!r} forced"
-
     # -- analysis ------------------------------------------------------
     def analyze(
-        self,
-        max_iterations: Optional[int] = None,
-        check_deadlock: bool = True,
+        self, max_iterations: Optional[int] = None
     ) -> ThroughputResult:
         """One throughput analysis from the graph's current tokens.
 
         Semantics (errors, messages, observable ordering) match
         :meth:`repro.sdf.throughput.ThroughputAnalyzer.analyze`; the
         returned result additionally carries ``tier`` and
-        ``tier_reason``.
+        ``tier_reason``.  A dead graph raises
+        :class:`~repro.exceptions.DeadlockError` with the
+        :func:`~repro.sdf.deadlock.deadlock_report` text before any
+        other error, and counts no tier.
         """
         if max_iterations is None:
             max_iterations = self.max_iterations
-        if check_deadlock:
-            report = deadlock_report(self.graph)
-            if report is not None:
-                raise DeadlockError(report)
-        if self.mode != "auto":
-            reason = f"engine mode {self.mode!r} forced"
-            if self.mode == "analytic":
-                if self._decline is not None:
-                    raise EngineUnsupportedError(
-                        f"analytic engine unavailable for "
-                        f"{self.graph.name!r}: {self._decline}"
-                    )
-                obs.inc("engine.analytic")
-                result = self._analyze_analytic(budgeted=False)
-            elif self.mode == "vectorized":
-                obs.inc("engine.vectorized")
-                result = self._analyze_vectorized(max_iterations)
-            else:
-                obs.inc("engine.reference")
-                result = self._analyze_reference(max_iterations)
-            return replace(result, tier_reason=reason)
-        if self._decline is not None:
-            obs.inc("engine.vectorized")
-            result = self._analyze_vectorized(max_iterations)
+        if self.mode == "analytic":
+            self._require_live()
+            if self._decline is not None:
+                raise EngineUnsupportedError(
+                    f"analytic engine unavailable for "
+                    f"{self.graph.name!r}: {self._decline}"
+                )
+            obs.inc("engine.analytic")
+            result = self._analyze_analytic(budgeted=False)
+        elif self.mode == "vectorized":
+            result = self._simulated(
+                "vectorized", self._analyze_vectorized, max_iterations
+            )
+        elif self.mode == "reference":
+            result = self._simulated(
+                "reference", self._analyze_reference, max_iterations
+            )
+        elif self._decline is not None:
+            result = self._simulated(
+                "vectorized", self._analyze_vectorized, max_iterations
+            )
             return replace(result, tier_reason=self._decline)
+        else:
+            return self._analyze_auto(max_iterations)
+        return replace(
+            result, tier_reason=f"engine mode {self.mode!r} forced"
+        )
+
+    def _analyze_auto(self, max_iterations: int) -> ThroughputResult:
         # Adaptive probe: a state space that recurs before the simulation
         # has spent about the analytic tier's estimated cost is cheaper
         # to simulate than to transform; one that does not is exactly
-        # where simulation cost can explode.
+        # where simulation cost can explode.  A probe that fails counts
+        # no tier; one that runs out of iterations escapes _simulated
+        # only on a live graph, which the analytic tier needs.
         probe = min(self._probe_iterations(), max_iterations)
         try:
-            result = self._analyze_vectorized(probe)
+            result = self._simulated(None, self._analyze_vectorized, probe)
         except UnboundedExecutionError:
             pass
         else:
@@ -713,6 +707,46 @@ class ThroughputEngine:
         return replace(result, tier_reason=(
             f"state space outlived the {probe}-iteration probe"
         ))
+
+    # Liveness comes from the run.  A simulated analysis that returns has
+    # found a recurrent state: equal token counts and equal in-flight
+    # firings at two iteration boundaries.  Between the two, every actor
+    # started as many firings as it completed, so the firing counts solve
+    # the balance equations; in a connected graph (validate_graph rejects
+    # any other) that makes them a whole multiple k >= 1 of the
+    # repetition vector.  Every actor therefore fired at least q[a] times
+    # from the initial tokens, and the first q[a] firings of each, in run
+    # order, are an untimed iteration: the graph is live, and the success
+    # path needs no check.  A failed run may be a deadlock's symptom, so
+    # only then does deadlock_report pick the error.  In a graph that is
+    # not strongly connected a live upstream part can keep firing while a
+    # dead reference actor never completes an iteration, so the run would
+    # not end: such graphs are checked before the run.
+    def _simulated(
+        self,
+        tier: Optional[str],
+        run: Callable[[int], ThroughputResult],
+        max_iterations: int,
+    ) -> ThroughputResult:
+        """Run a simulated tier, counting ``engine.<tier>`` unless the
+        graph turns out dead."""
+        if not self._strongly_connected:
+            self._require_live()
+        try:
+            result = run(max_iterations)
+        except ReproError:
+            self._require_live()
+            if tier is not None:
+                obs.inc(f"engine.{tier}")
+            raise
+        if tier is not None:
+            obs.inc(f"engine.{tier}")
+        return result
+
+    def _require_live(self) -> None:
+        report = deadlock_report(self.graph)
+        if report is not None:
+            raise DeadlockError(report)
 
     def _resolve_reference(self) -> str:
         ref = self._reference_actor or self.graph.actors[0].name
@@ -791,58 +825,4 @@ class ThroughputEngine:
                 reference_actor=self._reference_actor,
                 max_iterations=self.max_iterations,
             )
-        # The engine already ran the liveness pre-check when asked to.
-        return self._analyzer.analyze(
-            max_iterations=max_iterations, check_deadlock=False
-        )
-
-    # -- latency (shared analysis stack) -------------------------------
-    def first_iteration_latency(self, max_firings: int = 100_000) -> int:
-        """Cold-start makespan of the first iteration (warm-reusable)."""
-        from repro.sdf.latency import run_first_iteration
-
-        sim = self._plain_sim()
-        return run_first_iteration(sim, self.graph, self._q, max_firings)
-
-    def source_to_sink_latency(
-        self,
-        source: str,
-        sink: str,
-        iterations: int = 10,
-        warmup: int = 3,
-        max_firings: int = 500_000,
-    ) -> int:
-        """Periodic-regime source-to-sink latency (warm-reusable)."""
-        from repro.sdf.latency import run_source_to_sink
-
-        sim = self._trace_sim
-        if sim is None:
-            sim = build_simulator(
-                self.graph,
-                auto_concurrency=self._auto_concurrency,
-                processor_of=self._processor_of,
-                static_order=self._static_order,
-                record_trace=True,
-            )
-            self._trace_sim = sim
-        else:
-            sim.reset()
-        return run_source_to_sink(
-            sim, self.graph, self._q, source, sink,
-            iterations=iterations, warmup=warmup,
-            max_firings=max_firings,
-        )
-
-    def _plain_sim(self) -> SelfTimedSimulator:
-        sim = self._vector_sim
-        if sim is None:
-            sim = _VectorizedCore(
-                self.graph,
-                auto_concurrency=self._auto_concurrency,
-                processor_of=self._processor_of,
-                static_order=self._static_order,
-            )
-            self._vector_sim = sim
-        else:
-            sim.reset()
-        return sim
+        return self._analyzer.analyze(max_iterations=max_iterations)

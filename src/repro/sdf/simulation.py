@@ -34,9 +34,9 @@ The dirty-set engine starts firings in the same deterministic order as the
 naive full rescan (static-order processors in declaration order, then the
 remaining actors in graph insertion order), so recorded traces, hook-call
 order and tie-breaking among simultaneous completions are identical to the
-retained reference implementation
-(:mod:`repro.sdf.simulation_reference`), which the differential test suite
-checks on randomized graphs.
+frozen full-rescan executor the differential test suite keeps as its
+oracle (``tests/sdf/simulation_reference.py``) and checks against on
+randomized graphs.
 """
 
 from __future__ import annotations

@@ -150,8 +150,9 @@ class ThroughputAnalyzer:
         ``check_deadlock=False`` skips the untimed liveness pre-check (the
         self-timed execution still detects a blocked graph and raises
         :class:`~repro.exceptions.DeadlockError`, only with a less specific
-        message) -- the right trade for tight sizing loops whose token
-        growth provably preserves liveness.
+        message).  This analyzer is the reference tier and the oracle, so
+        it checks eagerly by default; :class:`~repro.sdf.engine.
+        ThroughputEngine` instead derives liveness from its run.
 
         Raises
         ------
@@ -242,7 +243,6 @@ def analyze_throughput(
     static_order: Optional[Dict[str, Sequence[str]]] = None,
     reference_actor: Optional[str] = None,
     max_iterations: int = 10_000,
-    engine: str = "auto",
 ) -> ThroughputResult:
     """Compute the self-timed throughput of ``graph``.
 
@@ -251,11 +251,9 @@ def analyze_throughput(
     gives the same long-term result; default is the first actor).
 
     One-shot convenience wrapper over the tiered
-    :class:`~repro.sdf.engine.ThroughputEngine`; construct the engine
-    directly when analyzing the same graph structure repeatedly.
-    ``engine`` pins a tier (``auto``/``analytic``/``vectorized``/
-    ``reference``); every tier returns the same exact ``Fraction``
-    throughput.
+    :class:`~repro.sdf.engine.ThroughputEngine`, which picks the tier;
+    construct the engine directly when analyzing the same graph
+    structure repeatedly or to pin a tier (``mode=``).
 
     Raises
     ------
@@ -273,7 +271,6 @@ def analyze_throughput(
         static_order=static_order,
         reference_actor=reference_actor,
         max_iterations=max_iterations,
-        mode=engine,
     ).analyze()
 
 

@@ -42,8 +42,9 @@ from repro.sdf.buffers import (
     minimal_capacity_bound,
 )
 from repro.sdf.deadlock import is_deadlock_free
-from repro.sdf.simulation_reference import reference_analyze_throughput
+from repro.sdf.engine import ThroughputEngine
 from repro.sdf.throughput import analyze_throughput
+from tests.sdf.simulation_reference import reference_analyze_throughput
 
 #: tier-1 default; CI sets FUZZ_SCENARIOS=200 in the fuzz-smoke job
 SWEEP = max(5, int(os.environ.get("FUZZ_SCENARIOS", "25")))
@@ -87,7 +88,7 @@ class TestSweep:
         # The vectorized tier promises bit-identical state-space fields;
         # the auto policy (possibly the analytic tier) promises the same
         # exact throughput value.
-        fast = analyze_throughput(bounded, engine="vectorized")
+        fast = ThroughputEngine(bounded, mode="vectorized").analyze()
         slow = reference_analyze_throughput(bounded)
         assert fast.throughput == slow.throughput
         assert fast.period == slow.period

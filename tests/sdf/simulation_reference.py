@@ -1,17 +1,16 @@
-"""Reference self-timed executor (the pre-incremental engine), retained.
+"""Frozen full-rescan self-timed executor: the differential oracle.
 
 This is the straightforward O(actors x edges)-per-step implementation the
 incremental engine in :mod:`repro.sdf.simulation` replaced.  It re-scans
 the whole graph after every event and keys its state on name-sorted
-dictionaries -- slow, but simple enough to audit by eye.  It is kept as
-the *oracle* for the differential test suite
-(``tests/sdf/test_simulation_differential.py``) and for the simulation
-benchmark (``benchmarks/bench_sim_hotpath.py``): the incremental engine
-must produce exactly the same traces, token peaks, completion counts and
-throughput results on randomized graphs, bindings and static orders.
-
-Do not use this class in production code paths; it exists to keep the
-fast engine honest.
+dictionaries -- slow, but simple enough to audit by eye.  It lives with
+the tests, outside the package, as the *oracle* for the differential
+tests (``test_simulation_differential.py``, ``test_engine_differential.py``,
+``test_liveness_differential.py``, the scenario fuzz sweep) and for the
+simulation benchmark (``benchmarks/bench_sim_hotpath.py``): the
+incremental engine must produce exactly the same traces, token peaks,
+completion counts and throughput results on randomized graphs, bindings
+and static orders.  Do not optimise it.
 """
 
 from __future__ import annotations

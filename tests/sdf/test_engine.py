@@ -7,6 +7,7 @@ import pytest
 from repro import obs
 from repro.exceptions import DeadlockError, SimulationError
 from repro.sdf import SDFGraph
+from repro.sdf.deadlock import deadlock_report
 from repro.sdf.buffers import (
     BufferDistribution,
     add_buffer_edges,
@@ -18,10 +19,6 @@ from repro.sdf.engine import (
     EngineUnsupportedError,
     ThroughputEngine,
     normalize_engine_mode,
-)
-from repro.sdf.latency import (
-    first_iteration_latency,
-    source_to_sink_latency,
 )
 from repro.sdf.throughput import ThroughputResult, analyze_throughput
 
@@ -51,7 +48,6 @@ class TestTierPolicy:
         # probe -- simulation already was the cheaper exact analysis.
         engine = ThroughputEngine(figure2_bounded)
         assert engine.analytic_decline_reason is None
-        assert engine.tier_for() == ("analytic", None)
         result = engine.analyze()
         assert result.tier == "vectorized"
         assert "probe" in result.tier_reason
@@ -96,8 +92,7 @@ class TestTierPolicy:
             processor_of={"A": "t", "B": "t", "C": "t"},
             static_order={"t": ["A", "B", "B", "C"]},
         )
-        tier, reason = engine.tier_for()
-        assert tier == "vectorized"
+        reason = engine.analytic_decline_reason
         assert "static-order" in reason
         result = engine.analyze()
         assert result.tier == "vectorized"
@@ -108,30 +103,26 @@ class TestTierPolicy:
         engine = ThroughputEngine(
             figure2_bounded, processor_of={"A": "t", "B": "t"}
         )
-        tier, reason = engine.tier_for()
-        assert tier == "vectorized"
+        reason = engine.analytic_decline_reason
         assert "time-share" in reason and "t" in reason
+        assert engine.analyze().tier == "vectorized"
 
     def test_exclusive_processors_keep_analytic(self, figure2_bounded):
         engine = ThroughputEngine(
             figure2_bounded,
             processor_of={"A": "t0", "B": "t1", "C": "t2"},
         )
-        assert engine.tier_for() == ("analytic", None)
+        assert engine.analytic_decline_reason is None
         assert engine.analyze().throughput == Fraction(1, 6)
 
     def test_auto_concurrency_declines_analytic(self, figure2_bounded):
         engine = ThroughputEngine(figure2_bounded, auto_concurrency=None)
-        tier, reason = engine.tier_for()
-        assert tier == "vectorized"
-        assert "auto-concurrency" in reason
+        assert "auto-concurrency" in engine.analytic_decline_reason
 
     def test_unconnected_graph_declines_analytic(self, two_actor_pipeline):
         # No back-edge: the pipeline is not strongly connected.
         engine = ThroughputEngine(two_actor_pipeline)
-        tier, reason = engine.tier_for()
-        assert tier == "vectorized"
-        assert "strongly connected" in reason
+        assert "strongly connected" in engine.analytic_decline_reason
 
     def test_oversized_expansion_declines_analytic(self):
         big = MAX_HSDF_COPIES
@@ -143,12 +134,13 @@ class TestTierPolicy:
         g.add_edge("ba", "B", "A", production=1, consumption=big,
                    initial_tokens=big)
         engine = ThroughputEngine(g)
-        tier, reason = engine.tier_for()
-        assert tier == "vectorized"
-        assert "HSDF expansion too large" in reason
+        assert "HSDF expansion too large" in \
+            engine.analytic_decline_reason
         # The fallback still analyzes the graph exactly: credits return
         # one per B firing, so A waits out all 256 (2 + 256 cycles).
-        assert engine.analyze().throughput == Fraction(1, big + 2)
+        result = engine.analyze()
+        assert result.tier == "vectorized"
+        assert result.throughput == Fraction(1, big + 2)
 
 
 # ----------------------------------------------------------------------
@@ -190,23 +182,28 @@ class TestForcedModes:
             assert normalize_engine_mode(mode) == mode
 
     @pytest.mark.parametrize("mode", ENGINE_MODES)
-    def test_every_mode_runs_deadlock_precheck(self, mode):
+    def test_every_mode_reports_deadlock(self, mode):
         g = SDFGraph("dead")
         g.add_actor("A", execution_time=1)
         g.add_actor("B", execution_time=1)
         g.add_edge("ab", "A", "B")
         g.add_edge("ba", "B", "A")  # no initial tokens: deadlock
-        with pytest.raises(DeadlockError):
-            ThroughputEngine(g, mode=mode).analyze()
+        with obs.collect() as counted:
+            with pytest.raises(DeadlockError) as raised:
+                ThroughputEngine(g, mode=mode).analyze()
+        assert str(raised.value) == deadlock_report(g)
+        assert counted.snapshot() == {}
 
-    def test_analyze_throughput_engine_knob(self, figure2_bounded):
+    def test_analyze_throughput_picks_the_tier(self, figure2_bounded):
         auto = analyze_throughput(figure2_bounded)
-        pinned = analyze_throughput(figure2_bounded, engine="reference")
+        pinned = ThroughputEngine(
+            figure2_bounded, mode="reference"
+        ).analyze()
         assert auto.tier == "vectorized"
         assert pinned.tier == "reference"
         assert auto.throughput == pinned.throughput
-        with pytest.raises(ValueError, match="unknown throughput engine"):
-            analyze_throughput(figure2_bounded, engine="warp")
+        with pytest.raises(TypeError, match="engine"):
+            analyze_throughput(figure2_bounded, engine="reference")
 
 
 # ----------------------------------------------------------------------
@@ -244,37 +241,18 @@ class TestWarmReuse:
         for capacity in (2, 4, 1, 3):
             retune_buffer_capacity(bounded_graph, "p2q", capacity)
             warm = engine.analyze()
-            cold = analyze_throughput(
+            cold = ThroughputEngine(
                 bounded(two_actor_pipeline, {"p2q": capacity}),
-                engine="vectorized",
-            )
+                mode="vectorized",
+            ).analyze()
             assert warm == cold
 
     def test_analytic_rereads_mutated_tokens(self, two_actor_pipeline):
         bounded_graph = bounded(two_actor_pipeline, {"p2q": 1})
         engine = ThroughputEngine(bounded_graph, mode="analytic")
-        assert engine.tier_for()[0] == "analytic"
         assert engine.analyze().throughput == Fraction(1, 12)
         retune_buffer_capacity(bounded_graph, "p2q", 4)
         assert engine.analyze().throughput == Fraction(1, 7)
-
-    def test_latency_methods_match_one_shot_helpers(self, figure2_graph):
-        g = bounded(figure2_graph, {"a2b": 4, "a2c": 2, "b2c": 4})
-        engine = ThroughputEngine(g)
-        expected_first = first_iteration_latency(g)
-        expected_pipe = source_to_sink_latency(g, "A", "C")
-        # Twice each: the second call reuses the warm simulator.
-        for _ in range(2):
-            assert engine.first_iteration_latency() == expected_first
-            assert engine.source_to_sink_latency("A", "C") == expected_pipe
-
-    def test_latency_then_throughput_shares_the_stack(self, figure2_graph):
-        g = bounded(figure2_graph, {"a2b": 4, "a2c": 2, "b2c": 4})
-        engine = ThroughputEngine(g, mode="vectorized")
-        first = engine.first_iteration_latency()
-        result = engine.analyze()
-        assert result.throughput == Fraction(1, 6)
-        assert engine.first_iteration_latency() == first
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The incremental dirty-set simulator (:mod:`repro.sdf.simulation`) must be
 *observably identical* to the retained full-rescan reference engine
-(:mod:`repro.sdf.simulation_reference`): same firing traces (including
+(``simulation_reference.py`` next to this file): same firing traces (including
 order among simultaneous events), same token peaks, same completion
 counts, same quiescence verdicts, and exactly the same ``Fraction``
 throughput / period / transient from the state-space analysis.  These
@@ -23,14 +23,15 @@ from repro.sdf.buffers import (
     minimal_capacity_bound,
 )
 from repro.sdf.deadlock import is_deadlock_free
+from repro.sdf.engine import ThroughputEngine
 from repro.sdf.graph import SDFGraph
 from repro.sdf.repetition import repetition_vector
 from repro.sdf.simulation import SelfTimedSimulator
-from repro.sdf.simulation_reference import (
+from repro.sdf.throughput import analyze_throughput
+from tests.sdf.simulation_reference import (
     ReferenceSelfTimedSimulator,
     reference_analyze_throughput,
 )
-from repro.sdf.throughput import analyze_throughput
 
 
 def random_bounded_graph(rng: random.Random) -> SDFGraph:
@@ -204,7 +205,9 @@ def _both_analyses(graph, **kwargs):
     """
     outcomes = []
     for analyze in (
-        lambda g, **kw: analyze_throughput(g, engine="vectorized", **kw),
+        lambda g, **kw: ThroughputEngine(
+            g, mode="vectorized", **kw
+        ).analyze(),
         reference_analyze_throughput,
     ):
         try:

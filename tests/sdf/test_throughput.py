@@ -7,6 +7,7 @@ import pytest
 from repro.exceptions import DeadlockError, SimulationError
 from repro.sdf import SDFGraph, analyze_throughput
 from repro.sdf.buffers import BufferDistribution, add_buffer_edges
+from repro.sdf.engine import ThroughputEngine
 from repro.sdf.throughput import (
     UnboundedExecutionError,
     processing_throughput_bound,
@@ -208,9 +209,9 @@ class TestThroughputAnalyzer:
         analyzer = ThroughputAnalyzer(g)
         # Field-exact against the same (reference) tier; value-exact
         # against whatever tier the auto policy picks.
-        assert analyzer.analyze() == analyze_throughput(
-            g, engine="reference"
-        )
+        assert analyzer.analyze() == ThroughputEngine(
+            g, mode="reference"
+        ).analyze()
         assert analyzer.analyze().throughput == \
             analyze_throughput(g).throughput
 
@@ -230,9 +231,9 @@ class TestThroughputAnalyzer:
         for capacity in (2, 3, 2, 1):
             retune_buffer_capacity(bounded_graph, "ab", capacity)
             warm = analyzer.analyze()
-            cold = analyze_throughput(
-                bounded(g, {"ab": capacity}), engine="reference"
-            )
+            cold = ThroughputEngine(
+                bounded(g, {"ab": capacity}), mode="reference"
+            ).analyze()
             assert warm == cold
             assert warm.throughput == analyze_throughput(
                 bounded(g, {"ab": capacity})

@@ -228,23 +228,18 @@ class TestMaxIterationsPlumbing:
             "analytic", "vectorized"
         )
 
-    def test_analyze_engine_pin(self, graph_file, capsys):
-        assert main(
-            ["analyze", graph_file, "--json", "--engine", "reference"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["throughput"]["engine_tier"] == "reference"
-
-    def test_analyze_rejects_unknown_engine(self, graph_file):
-        with pytest.raises(SystemExit):
-            main(["analyze", graph_file, "--engine", "turbo"])
-
-    def test_explore_engine_pin(self, capsys):
-        code = main(
-            ["explore", "gradient", "--max-tiles", "1",
-             "--effort", "low", "--engine", "vectorized"]
-        )
-        assert code == 0
+    @pytest.mark.parametrize("argv", (
+        ["analyze", "GRAPH", "--engine", "reference"],
+        ["explore", "gradient", "--max-tiles", "1", "--engine", "auto"],
+    ))
+    def test_engine_flag_is_gone(self, graph_file, capsys, argv):
+        # the engine picks its tier itself; pinning one is an API-only
+        # knob (ThroughputEngine(mode=...)), not a CLI option
+        argv = [graph_file if arg == "GRAPH" else arg for arg in argv]
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_explore_budget_override(self, capsys):
         code = main(
@@ -294,26 +289,16 @@ class TestEffortIterationSuffix:
 
 
 class TestEffortEngineSuffix:
-    def test_of_parses_engine_pin(self):
+    def test_engine_suffix_is_rejected(self):
         from repro.mapping.flow import MappingEffort
 
-        effort = MappingEffort.of("normal+engreference")
-        assert effort.engine == "reference"
-        assert effort.max_iterations == (
-            MappingEffort.of("normal").max_iterations
-        )
-        assert MappingEffort.of(effort.name) == effort
-
-    def test_suffixes_combine_in_either_order(self):
-        from repro.mapping.flow import MappingEffort
-
-        a = MappingEffort.of("low+it5000+engvectorized")
-        b = MappingEffort.of("low+engvectorized+it5000")
-        assert a == b
-        assert a.max_iterations == 5000
-        assert a.engine == "vectorized"
-        # canonical derived name: iterations before engine
-        assert a.name == "low+it5000+engvectorized"
+        with pytest.raises(ValueError) as raised:
+            MappingEffort.of("low+engvectorized")
+        message = str(raised.value)
+        assert "'engvectorized'" in message
+        assert "the only suffix is '+it<N>'" in message
+        with pytest.raises(ValueError, match="unknown suffix"):
+            MappingEffort.of("low+zz5")
 
     def test_cache_token_is_pinned(self):
         # the effort part of every evaluation, session and library key;
@@ -322,40 +307,8 @@ class TestEffortEngineSuffix:
 
         assert MappingEffort.of("normal").cache_token() == \
             "normal:12:10000"
-        assert MappingEffort.of(
-            "low+engvectorized+it5000"
-        ).cache_token() == "low+it5000+engvectorized:4:5000"
-
-    def test_with_engine_round_trips(self):
-        from repro.mapping.flow import MappingEffort
-
-        base = MappingEffort.of("high")
-        pinned = base.with_engine("analytic")
-        assert pinned.name == "high+enganalytic"
-        assert MappingEffort.of(pinned.name) == pinned
-        # auto is the default: pinning it back erases the suffix, so
-        # cache keys derived from the name stay byte-identical
-        assert pinned.with_engine("auto").name == "high"
-        assert base.with_engine("auto") is base
-
-    def test_with_iterations_preserves_engine_pin(self):
-        from repro.mapping.flow import MappingEffort
-
-        pinned = MappingEffort.of("normal+engreference")
-        derived = pinned.with_iterations(77)
-        assert derived.engine == "reference"
-        assert derived.name == "normal+it77+engreference"
-        assert MappingEffort.of(derived.name) == derived
-
-    def test_bad_engine_suffix_rejected(self):
-        from repro.mapping.flow import MappingEffort
-
-        with pytest.raises(ValueError, match="invalid engine override"):
-            MappingEffort.of("low+engturbo")
-        with pytest.raises(ValueError, match="unknown suffix"):
-            MappingEffort.of("low+zz5")
-        with pytest.raises(ValueError, match="unknown throughput engine"):
-            MappingEffort.of("low").with_engine("turbo")
+        assert MappingEffort.of("low+it5000").cache_token() == \
+            "low+it5000:4:5000"
 
 
 class TestCanonicalPayloads:
